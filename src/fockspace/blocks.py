@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fock import Weight, weight
-from .partitions import Partition, check_modulus, p_core, partitions_of
+from .partitions import Partition, check_modulus, core_and_weight, p_core, partitions_of
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,14 @@ def blocks(d: int, e: int) -> list[Block]:
     check_modulus(e)
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    by_core: dict[Partition, list[Partition]] = {}
+    by_core: dict[Partition, tuple[int, list[Partition]]] = {}
     for p in partitions_of(d):
-        by_core.setdefault(p_core(p, e), []).append(p)
+        core, hooks_removed = core_and_weight(p, e)
+        by_core.setdefault(core, (hooks_removed, []))[1].append(p)
     out = []
     for core in sorted(by_core, reverse=True):
-        members = tuple(sorted(by_core[core], reverse=True))
+        hooks_removed, members = by_core[core]
+        members = tuple(sorted(members, reverse=True))
         out.append(
             Block(
                 modulus=e,
@@ -50,7 +52,7 @@ def blocks(d: int, e: int) -> list[Block]:
                 core=core,
                 members=members,
                 weight=weight(members[0], e),
-                p_weight=(d - core.size) // e if e else 0,
+                p_weight=hooks_removed,
             )
         )
     return out
@@ -64,12 +66,11 @@ def same_block(p: Partition, q: Partition, e: int) -> bool:
     return p_core(p, e) == p_core(q, e)
 
 
-def derived_equivalence_classes(d: int, e: int) -> list[list[Block]]:
-    """Group the blocks of degree d by equal p-weight (requires e >= 2)."""
-    check_modulus(e)
-    if e == 0:
+def derived_equivalence_classes(layer: list[Block]) -> list[list[Block]]:
+    """Group the blocks of one degree layer by equal p-weight (requires e >= 2)."""
+    if any(block.modulus == 0 for block in layer):
         raise ValueError("derived-equivalence grouping needs a modulus >= 2")
     by_weight: dict[int, list[Block]] = {}
-    for block in blocks(d, e):
+    for block in layer:
         by_weight.setdefault(block.p_weight, []).append(block)
     return [by_weight[w] for w in sorted(by_weight)]

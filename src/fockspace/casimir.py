@@ -75,6 +75,8 @@ def y_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
 
 def eigenvalue_table(p: Partition, n: int, e: int) -> dict:
     """Casimir scalar of p plus the eigenvalue of every box move at rank n."""
+    if n <= len(p.parts):
+        raise ValueError(f"rank {n} must exceed the number of parts of {p}")
     removable = [
         {
             "box": [b.row, b.col],

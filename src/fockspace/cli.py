@@ -18,7 +18,7 @@ from .crystal import crystal_graph
 from .fock import op_matrix
 from .hecke import parse_expression
 from .characters import branch_r1, pieri_mult
-from .partitions import Partition, check_modulus, p_core, p_weight
+from .partitions import Partition, core_and_weight
 from .verify import DEFAULT_SEED, SUITES, run_verify
 
 
@@ -116,7 +116,7 @@ def _run_blocks(args: argparse.Namespace) -> int:
                 "p_weight": cls[0].p_weight,
                 "cores": [str(b.core) for b in cls],
             }
-            for cls in derived_equivalence_classes(args.degree, args.modulus)
+            for cls in derived_equivalence_classes(layer)
         ]
     _emit(
         json.dumps(
@@ -133,15 +133,8 @@ def _run_blocks(args: argparse.Namespace) -> int:
 
 def _run_core(args: argparse.Namespace) -> int:
     p = Partition.parse(args.partition)
-    check_modulus(args.modulus)
-    _emit(
-        json.dumps(
-            {
-                "core": str(p_core(p, args.modulus)),
-                "p_weight": p_weight(p, args.modulus),
-            }
-        )
-    )
+    core, hooks_removed = core_and_weight(p, args.modulus)
+    _emit(json.dumps({"core": str(core), "p_weight": hooks_removed}))
     return 0
 
 

@@ -22,6 +22,7 @@ from .partitions import (
     removable_boxes,
     remove_box,
     residue,
+    residue_counts,
 )
 
 
@@ -128,24 +129,13 @@ class Weight:
     modulus: int
     alpha: tuple[tuple[int, int], ...]
 
-    def multiplicity(self, i: int) -> int:
-        return dict(self.alpha).get(canonical_residue(i, self.modulus), 0)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.alpha)
-
     def json_dict(self) -> dict[str, int]:
         return {str(i): m for i, m in self.alpha}
 
 
 def weight(p: Partition, e: int) -> Weight:
     """The weight of the basis vector at p: residue -> box count."""
-    check_modulus(e)
-    counts: dict[int, int] = {}
-    for b in p.boxes():
-        r = residue(b, e)
-        counts[r] = counts.get(r, 0) + 1
-    return Weight(e, tuple(sorted(counts.items())))
+    return Weight(e, tuple(sorted(residue_counts(p, e).items())))
 
 
 def cartan_entry(i: int, j: int, e: int) -> int:

@@ -275,9 +275,6 @@ def verify_relations(n: int) -> dict[str, bool]:
     return report
 
 
-_TOKEN_KINDS = ("y", "t", "int", "op", "paren")
-
-
 def _tokenize(expr: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
     k = 0
@@ -374,6 +371,8 @@ class _Parser:
 
 def parse_expression(expr: str, n: int) -> HeckeElement:
     """Evaluate a generator expression like ``t1*y2*t1 - y1`` at rank n."""
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
     tokens = _tokenize(expr)
     if not tokens:
         raise ValueError("empty expression")

@@ -171,10 +171,20 @@ def remove_box(p: Partition, box: Box) -> Partition:
     return Partition(parts)
 
 
+def residue_counts(p: Partition, e: int) -> dict[int, int]:
+    """Box count of each residue present in p; row r has contents 1-r .. p_r - r."""
+    check_modulus(e)
+    counts: dict[int, int] = {}
+    for r, length in enumerate(p.parts, start=1):
+        for c in range(1 - r, length + 1 - r):
+            i = c % e if e else c
+            counts[i] = counts.get(i, 0) + 1
+    return counts
+
+
 def m_count(p: Partition, i: int, e: int) -> int:
     """Number of boxes of p with residue i."""
-    i = canonical_residue(i, e)
-    return sum(1 for b in p.boxes() if residue(b, e) == i)
+    return residue_counts(p, e).get(canonical_residue(i, e), 0)
 
 
 def n_value(p: Partition, i: int, e: int) -> int:
@@ -183,9 +193,10 @@ def n_value(p: Partition, i: int, e: int) -> int:
     For e == 2 the neighbours i-1 and i+1 coincide mod 2 and are counted
     twice, exactly as the sum is written.
     """
+    m = residue_counts(p, e)
     i = canonical_residue(i, e)
-    delta = 1 if i == 0 else 0
-    return m_count(p, i - 1, e) + m_count(p, i + 1, e) - 2 * m_count(p, i, e) + delta
+    below, above = canonical_residue(i - 1, e), canonical_residue(i + 1, e)
+    return m.get(below, 0) + m.get(above, 0) - 2 * m.get(i, 0) + (1 if i == 0 else 0)
 
 
 @lru_cache(maxsize=None)
@@ -278,20 +289,24 @@ def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box],
     return hooks
 
 
-def p_core(p: Partition, e: int) -> Partition:
-    """Remove rim e-hooks until none remain (greedy, first hook in rim order).
+def core_and_weight(p: Partition, e: int) -> tuple[Partition, int]:
+    """The e-core of p and the number of rim e-hooks removed to reach it.
 
-    For e == 0 every partition is its own core.
+    Hooks are removed greedily, first hook in rim order.  For e == 0 every
+    partition is its own core, reached after removing no hook.
     """
     check_modulus(e)
-    if e == 0:
-        return p
-    current = p
-    while True:
-        hooks = removable_rim_hooks(current, e)
-        if not hooks:
-            return current
-        current = hooks[0][1]
+    core, hooks_removed = p, 0
+    while e and (hooks := removable_rim_hooks(core, e)):
+        core, hooks_removed = hooks[0][1], hooks_removed + 1
+    if p.size != core.size + e * hooks_removed:
+        raise ArithmeticError(f"|{p}| != |{core}| + {e} * {hooks_removed}")
+    return core, hooks_removed
+
+
+def p_core(p: Partition, e: int) -> Partition:
+    """The e-core of p; for e == 0 every partition is its own core."""
+    return core_and_weight(p, e)[0]
 
 
 def p_core_beta(p: Partition, e: int) -> Partition:
@@ -317,10 +332,4 @@ def p_core_beta(p: Partition, e: int) -> Partition:
 
 def p_weight(p: Partition, e: int) -> int:
     """Number of rim e-hooks removed to reach the core; 0 when e == 0."""
-    check_modulus(e)
-    if e == 0:
-        return 0
-    drop = p.size - p_core(p, e).size
-    if drop % e:
-        raise ArithmeticError(f"core size defect {drop} not divisible by {e}")
-    return drop // e
+    return core_and_weight(p, e)[1]

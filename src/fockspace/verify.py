@@ -69,6 +69,7 @@ from .partitions import (
     remove_box,
     removable_rim_hooks,
     residue,
+    residue_counts,
     residue_window,
 )
 
@@ -98,13 +99,13 @@ def check_weight_ladder(e: int, max_size: int) -> Optional[str]:
     """f_i lands in weight wt - alpha_i and e_i in wt + alpha_i."""
     window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        counts = {i: m_count(lam, i, e) for i in window}
+        counts = residue_counts(lam, e)
         for i in window:
             for mu in apply_f(FockVector.basis(lam), i, e).terms:
-                if m_count(mu, i, e) != counts[i] + 1:
+                if m_count(mu, i, e) != counts.get(i, 0) + 1:
                     return f"f: lambda={lam}, mu={mu}, i={i}, e={e}"
             for mu in apply_e(FockVector.basis(lam), i, e).terms:
-                if m_count(mu, i, e) != counts[i] - 1:
+                if m_count(mu, i, e) != counts.get(i, 0) - 1:
                     return f"e: lambda={lam}, mu={mu}, i={i}, e={e}"
     return None
 
@@ -113,10 +114,10 @@ def check_cartan_pairing(e: int, max_size: int) -> Optional[str]:
     """n_i(lambda) equals the pairing of wt(lambda) against h_i."""
     window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        counts = {j: m_count(lam, j, e) for j in window}
+        counts = residue_counts(lam, e)
         for i in window:
             pairing = (1 if canonical_residue(i, e) == canonical_residue(0, e) else 0) - sum(
-                counts[j] * cartan_entry(i, j, e) for j in window
+                counts.get(j, 0) * cartan_entry(i, j, e) for j in window
             )
             if pairing != n_value(lam, i, e):
                 return f"lambda={lam}, i={i}, e={e}"

@@ -40,18 +40,18 @@ def test_same_block_examples():
 
 
 def test_derived_equivalence_examples():
-    classes = derived_equivalence_classes(3, 3)
+    classes = derived_equivalence_classes(blocks(3, 3))
     assert len(classes) == 1 and len(classes[0]) == 1 and classes[0][0].p_weight == 1
 
-    classes = derived_equivalence_classes(2, 3)
+    classes = derived_equivalence_classes(blocks(2, 3))
     assert len(classes) == 1 and len(classes[0]) == 2
     assert all(b.p_weight == 0 for b in classes[0])
 
-    classes = derived_equivalence_classes(0, 2)
+    classes = derived_equivalence_classes(blocks(0, 2))
     assert len(classes) == 1 and classes[0][0].members == (P(),)
 
     with pytest.raises(ValueError):
-        derived_equivalence_classes(3, 0)
+        derived_equivalence_classes(blocks(3, 0))
 
 
 @pytest.mark.parametrize("e", [2, 3, 5])

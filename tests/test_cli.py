@@ -1,4 +1,7 @@
+import importlib
 import json
+
+import pytest
 
 from fockspace.cli import main
 from fockspace.partitions import Partition
@@ -22,6 +25,23 @@ def test_core_modulus_zero(capsys):
     assert json.loads(out) == {"core": "[4,4,2,1]", "p_weight": 0}
 
 
+def test_core_command_removes_each_hook_once(monkeypatch, capsys):
+    import fockspace.partitions as partitions_module
+
+    calls = []
+    original = partitions_module.removable_rim_hooks
+
+    def counting(p, length):
+        calls.append(p)
+        return original(p, length)
+
+    monkeypatch.setattr(partitions_module, "removable_rim_hooks", counting)
+    code, out, _ = run_cli(capsys, "core", "--modulus", "2", "--partition", "[2,1,1]")
+    assert code == 0 and json.loads(out)["p_weight"] == 2
+    # one search per removed hook, plus the one that finds none left
+    assert len(calls) == 2 + 1
+
+
 def test_blocks_command(capsys):
     code, out, _ = run_cli(capsys, "blocks", "--modulus", "3", "--degree", "3")
     assert code == 0
@@ -31,6 +51,25 @@ def test_blocks_command(capsys):
     assert obj["blocks"][0]["core"] == "[]"
     assert obj["blocks"][0]["members"] == ["[3]", "[2,1]", "[1,1,1]"]
     assert obj["derived_equivalence_classes"] == [{"p_weight": 1, "cores": ["[]"]}]
+
+
+def test_blocks_command_builds_the_layer_once(monkeypatch, capsys):
+    import fockspace.cli as cli_module
+
+    # the package re-exports the function blocks, which hides the module name
+    blocks_module = importlib.import_module("fockspace.blocks")
+    calls = []
+    original = blocks_module.blocks
+
+    def counting(d, e):
+        calls.append((d, e))
+        return original(d, e)
+
+    monkeypatch.setattr(blocks_module, "blocks", counting)
+    monkeypatch.setattr(cli_module, "blocks", counting)
+    code, _, _ = run_cli(capsys, "blocks", "--modulus", "3", "--degree", "6")
+    assert code == 0
+    assert calls == [(6, 3)]
 
 
 def test_blocks_modulus_zero_has_no_grouping(capsys):
@@ -87,6 +126,13 @@ def test_casimir_command(capsys):
     obj = json.loads(out)
     assert obj["casimir"] == 9
     assert {entry["residue"] for entry in obj["removable"]} == {-1, 1}
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_casimir_rank_error_names_the_input(capsys, n):
+    code, _, err = run_cli(capsys, "casimir", "--partition", "[2,1]", "--n", n)
+    assert code == 2
+    assert "[2,1]" in err and "[2,1,1]" not in err
 
 
 def test_branch_and_pieri_commands(capsys):

@@ -182,6 +182,12 @@ def test_parse_expression_errors(bad):
         parse_expression(bad, 2)
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_parse_expression_rejects_rank_below_one(rank):
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        parse_expression("y1", rank)
+
+
 def test_json_list_is_sorted_and_stable():
     y, t = gens(2)
     element = t[1] * y[2] * t[1]

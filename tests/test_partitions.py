@@ -10,6 +10,7 @@ from fockspace.partitions import (
     canonical_residue,
     check_modulus,
     content,
+    core_and_weight,
     m_count,
     n_value,
     p_core,
@@ -21,6 +22,7 @@ from fockspace.partitions import (
     removable_rim_hooks,
     remove_box,
     residue,
+    residue_counts,
 )
 
 
@@ -93,6 +95,21 @@ def test_m_count_examples():
     assert m_count(Partition((2,)), 1, 0) == 1
 
 
+@pytest.mark.parametrize("e", [0, 2, 3, 5])
+def test_residue_counts_match_a_box_by_box_count(e):
+    for lam in partitions_up_to(10):
+        expected: dict[int, int] = {}
+        for b in lam.boxes():
+            i = residue(b, e)
+            expected[i] = expected.get(i, 0) + 1
+        assert residue_counts(lam, e) == expected
+
+
+def test_residue_counts_rejects_a_bad_modulus():
+    with pytest.raises(ValueError):
+        residue_counts(Partition((2, 1)), 1)
+
+
 def test_n_value_examples():
     assert n_value(Partition(), 0, 3) == 1
     assert n_value(Partition(), 0, 0) == 1
@@ -152,6 +169,27 @@ def test_p_weight_examples():
 def test_core_greedy_matches_beta_numbers(e):
     for lam in partitions_up_to(8):
         assert p_core(lam, e) == p_core_beta(lam, e)
+
+
+@pytest.mark.parametrize("e", [2, 3, 5])
+def test_core_and_weight_matches_beta_numbers(e):
+    for lam in partitions_up_to(12):
+        core, hooks_removed = core_and_weight(lam, e)
+        assert core == p_core_beta(lam, e)
+        assert lam.size == core.size + e * hooks_removed
+
+
+def test_core_and_weight_rejects_an_inconsistent_removal(monkeypatch):
+    import fockspace.partitions as partitions_module
+
+    # a "hook" that takes away three boxes when two were asked for
+    monkeypatch.setattr(
+        partitions_module,
+        "removable_rim_hooks",
+        lambda p, length: [(frozenset(), Partition())] if p.parts else [],
+    )
+    with pytest.raises(ArithmeticError):
+        core_and_weight(Partition((3,)), 2)
 
 
 def test_partitions_of_order_and_counts():
