@@ -22,10 +22,18 @@ from .partitions import Partition, core_and_weight
 from .verify import DEFAULT_SEED, SUITES, run_verify
 
 
+PROFILE_ROWS = 25
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockspace",
         description="Exact Fock-space combinatorics on partitions.",
+    )
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help=f"print the top {PROFILE_ROWS} cProfile rows of the request to stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -168,12 +176,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         if args.command == "crystal":
             return _run_crystal(args)
@@ -198,6 +201,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 2
+
+
+def _profiled(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the request under cProfile and print its top rows to stderr."""
+    # imported here so that plain requests do not pay for loading the profiler
+    import cProfile
+    import pstats
+
+    profiler = cProfile.Profile()
+    code = profiler.runcall(_dispatch, parser, args)
+    stats = pstats.Stats(profiler, stream=sys.stderr)
+    stats.sort_stats("cumulative").print_stats(PROFILE_ROWS)
+    return code
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    if args.profile:
+        return _profiled(parser, args)
+    return _dispatch(parser, args)
 
 
 if __name__ == "__main__":

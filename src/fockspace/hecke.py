@@ -15,7 +15,7 @@ Permutations are stored in one-line notation; the product w * v means
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 Perm = tuple[int, ...]
 Exps = tuple[int, ...]
@@ -307,6 +307,10 @@ def _tokenize(expr: str) -> list[tuple[str, str]]:
     return tokens
 
 
+MAX_NESTING = 100
+"""Deepest nesting of parentheses and unary minus signs an expression may use."""
+
+
 class _Parser:
     """Recursive descent for: expr := term (('+'|'-') term)*,
     term := factor ('*' factor)*, factor := '-' factor | atom."""
@@ -315,6 +319,16 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.n = n
+        self.depth = 0
+
+    def nested(self, parse: Callable[[], HeckeElement]) -> HeckeElement:
+        """Parse one level deeper, refusing to pass MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ValueError(f"expression nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -350,7 +364,7 @@ class _Parser:
     def factor(self) -> HeckeElement:
         if self.peek() == ("op", "-"):
             self.take()
-            return -self.factor()
+            return -self.nested(self.factor)
         return self.atom()
 
     def atom(self) -> HeckeElement:
@@ -362,7 +376,7 @@ class _Parser:
         if kind == "int":
             return HeckeElement.scalar(int(text), self.n)
         if (kind, text) == ("paren", "("):
-            value = self.expr()
+            value = self.nested(self.expr)
             if self.take() != ("paren", ")"):
                 raise ValueError("unbalanced parentheses")
             return value
@@ -370,7 +384,11 @@ class _Parser:
 
 
 def parse_expression(expr: str, n: int) -> HeckeElement:
-    """Evaluate a generator expression like ``t1*y2*t1 - y1`` at rank n."""
+    """Evaluate a generator expression like ``t1*y2*t1 - y1`` at rank n.
+
+    Parentheses and unary minus signs nest at most MAX_NESTING deep; deeper
+    input raises ValueError.
+    """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     tokens = _tokenize(expr)

@@ -222,70 +222,41 @@ def partitions_up_to(d: int) -> list[Partition]:
     return [p for k in range(d + 1) for p in partitions_of(k)]
 
 
-def _subpartitions_of_size(p: Partition, target: int) -> list[Partition]:
-    """Partitions mu contained in p (mu_r <= p_r) with |mu| = target."""
-    if target < 0:
-        return []
-    parts = p.parts
-    out: list[Partition] = []
-
-    def rec(r: int, prefix: list[int], remaining: int, cap: int) -> None:
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        if r >= len(parts):
-            return
-        for v in range(min(parts[r], cap, remaining), 0, -1):
-            prefix.append(v)
-            rec(r + 1, prefix, remaining - v, v)
-            prefix.pop()
-
-    rec(0, [], target, p.parts[0] if p.parts else 0)
-    return out
-
-
-def _skew_boxes(outer: Partition, inner: Partition) -> list[Box]:
-    boxes = []
-    for r, length in enumerate(outer.parts, start=1):
-        start = inner.row(r)
-        boxes.extend(Box(r, c) for c in range(start + 1, length + 1))
-    return boxes
-
-
-def _is_border_strip(boxes: list[Box]) -> bool:
-    """Connected skew shape containing no 2x2 square."""
-    if not boxes:
-        return False
-    cells = set(boxes)
-    for r, c in cells:
-        if {(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells:
-            return False
-    seen = {boxes[0]}
-    frontier = [boxes[0]]
-    while frontier:
-        r, c = frontier.pop()
-        for nb in (Box(r - 1, c), Box(r + 1, c), Box(r, c - 1), Box(r, c + 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == len(cells)
-
-
 def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box], Partition]]:
     """All removable rim hooks of the given length, with the leftover shape.
 
-    A rim hook is a connected strip along the rim containing no 2x2 square
-    whose removal leaves a partition.  Hooks are ordered along the rim walk,
-    bottom left to top right (by the content of their lowest box).
+    Works on the abacus (James-Kerber, 1981, 2.7): row j of a partition with
+    k rows holds the bead b_j = p_j + k - 1 - j, and a hook of the given
+    length is a bead b with b - length >= 0 not itself a bead.  Move that
+    bead down to the slot of row t, the row it lands in: rows j..t-1 take
+    the row below minus one, row t takes the moved bead, and every other row
+    stays, so each hook costs O(rows).  Hooks are ordered along the rim
+    walk, bottom left to top right (by the content b - length - (k - 1) of
+    their lowest box), so walking the beads from the bottom row up needs no
+    sort.
     """
     if length < 1:
         raise ValueError(f"hook length must be >= 1, got {length}")
+    parts = p.parts
+    k = len(parts)
+    betas = [part + k - 1 - j for j, part in enumerate(parts)]
+    beads = set(betas)
     hooks = []
-    for mu in _subpartitions_of_size(p, p.size - length):
-        skew = _skew_boxes(p, mu)
-        if _is_border_strip(skew):
-            hooks.append((frozenset(skew), mu))
-    hooks.sort(key=lambda hook: min(content(b) for b in hook[0]))
+    for j in range(k - 1, -1, -1):
+        moved = betas[j] - length
+        if moved < 0 or moved in beads:
+            continue
+        t = j
+        while t + 1 < k and betas[t + 1] > moved:
+            t += 1
+        rows = [parts[r + 1] - 1 for r in range(j, t)] + [moved - (k - 1 - t)]
+        boxes = frozenset(
+            Box(r + 1, c)
+            for r, new in enumerate(rows, start=j)
+            for c in range(new + 1, parts[r] + 1)
+        )
+        leftover = parts[:j] + tuple(x for x in rows if x) + parts[t + 1 :]
+        hooks.append((boxes, Partition(leftover)))
     return hooks
 
 

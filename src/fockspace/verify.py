@@ -58,6 +58,7 @@ from .partitions import (
     add_box,
     canonical_residue,
     check_modulus,
+    content,
     m_count,
     n_value,
     p_core,
@@ -406,10 +407,74 @@ def check_block_p_weights(e: int, max_degree: int) -> Optional[str]:
     return None
 
 
+def _subpartitions_of_size(p: Partition, target: int) -> list[Partition]:
+    """Partitions mu contained in p (mu_r <= p_r) with |mu| = target."""
+    if target < 0:
+        return []
+    parts = p.parts
+    out: list[Partition] = []
+
+    def rec(r: int, prefix: list[int], remaining: int, cap: int) -> None:
+        if remaining == 0:
+            out.append(Partition(prefix))
+            return
+        if r >= len(parts):
+            return
+        for v in range(min(parts[r], cap, remaining), 0, -1):
+            prefix.append(v)
+            rec(r + 1, prefix, remaining - v, v)
+            prefix.pop()
+
+    rec(0, [], target, p.parts[0] if p.parts else 0)
+    return out
+
+
+def _skew_boxes(outer: Partition, inner: Partition) -> list[Box]:
+    boxes = []
+    for r, length in enumerate(outer.parts, start=1):
+        start = inner.row(r)
+        boxes.extend(Box(r, c) for c in range(start + 1, length + 1))
+    return boxes
+
+
+def _is_border_strip(boxes: list[Box]) -> bool:
+    """Connected skew shape containing no 2x2 square."""
+    if not boxes:
+        return False
+    cells = set(boxes)
+    for r, c in cells:
+        if {(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells:
+            return False
+    seen = {boxes[0]}
+    frontier = [boxes[0]]
+    while frontier:
+        r, c = frontier.pop()
+        for nb in (Box(r - 1, c), Box(r + 1, c), Box(r, c - 1), Box(r, c + 1)):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return len(seen) == len(cells)
+
+
+def _brute_force_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box], Partition]]:
+    """Rim hooks by searching every sub-partition of size |p| - length.
+
+    Exponential in |p|; the independent oracle for the abacus
+    ``removable_rim_hooks``, returning the same list in the same rim order.
+    """
+    hooks = []
+    for mu in _subpartitions_of_size(p, p.size - length):
+        skew = _skew_boxes(p, mu)
+        if _is_border_strip(skew):
+            hooks.append((frozenset(skew), mu))
+    hooks.sort(key=lambda hook: min(content(b) for b in hook[0]))
+    return hooks
+
+
 def _removal_results(p: Partition, e: int, memo: dict[Partition, frozenset[Partition]]) -> frozenset[Partition]:
     if p in memo:
         return memo[p]
-    hooks = removable_rim_hooks(p, e)
+    hooks = _brute_force_rim_hooks(p, e)
     if not hooks:
         result = frozenset([p])
     else:
@@ -431,6 +496,18 @@ def check_core_well_defined(e: int, max_size: int) -> Optional[str]:
         expected = p_core(lam, e)
         if results != frozenset([expected]):
             return f"lambda={lam}, e={e}, endpoints={sorted(map(str, results))}"
+    return None
+
+
+def check_rim_hooks_agree(e: int, max_size: int) -> Optional[str]:
+    """The abacus rim hooks equal the brute-force ones: boxes, leftovers, order.
+
+    Hooks have length e, or every length 1..|lambda| when e == 0.
+    """
+    for lam in partitions_up_to(max_size):
+        for length in [e] if e else range(1, lam.size + 1):
+            if removable_rim_hooks(lam, length) != _brute_force_rim_hooks(lam, length):
+                return f"lambda={lam}, length={length}"
     return None
 
 
@@ -771,6 +848,12 @@ def _suite_blocks(e: int, d: int, seed: int) -> list[SuiteResult]:
         _timed("blocks", "p_weight_constant", ed, lambda: check_block_p_weights(e, d)),
         _timed("blocks", "core_well_defined", ed, lambda: check_core_well_defined(e, min(d, 8))),
         _timed("blocks", "core_beta_agree", ed, lambda: check_core_beta_agree(e, d)),
+        _timed(
+            "blocks",
+            "rim_hooks_agree",
+            {"modulus": e, "max_size": min(d, 10)},
+            lambda: check_rim_hooks_agree(e, min(d, 10)),
+        ),
     ]
     if e == 0:
         out.append(

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import partitions_of_size
 from fockspace.blocks import blocks, derived_equivalence_classes, same_block
 from fockspace.fock import weight
 from fockspace.partitions import Partition, p_core, p_weight, partitions_of
@@ -94,3 +97,16 @@ def test_block_json_dict():
         "weight": {"0": 1, "1": 1},
         "p_weight": 1,
     }
+
+
+@st.composite
+def equal_size_pairs(draw, max_size: int = 120):
+    size = draw(st.integers(0, max_size))
+    return draw(partitions_of_size(size)), draw(partitions_of_size(size))
+
+
+@settings(deadline=None)
+@given(equal_size_pairs(), st.sampled_from([2, 3, 5]))
+def test_same_block_iff_equal_weight_at_large_sizes(pair, e):
+    p, q = pair
+    assert same_block(p, q, e) == (weight(p, e) == weight(q, e))

@@ -42,6 +42,28 @@ def test_core_command_removes_each_hook_once(monkeypatch, capsys):
     assert len(calls) == 2 + 1
 
 
+def test_core_command_on_a_size_156_staircase(capsys):
+    staircase = "[" + ",".join(str(k) for k in range(24, 0, -2)) + "]"
+    code, out, _ = run_cli(capsys, "core", "--modulus", "2", "--partition", staircase)
+    assert code == 0
+    assert json.loads(out) == {"core": "[]", "p_weight": 78}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("core", "--modulus", "3", "--partition", "[10,8,6,4,2]"),
+        ("blocks", "--modulus", "3", "--degree", "8"),
+    ],
+)
+def test_profile_flag_leaves_stdout_and_exit_code_alone(capsys, args):
+    plain = run_cli(capsys, *args)
+    profiled = run_cli(capsys, "--profile", *args)
+    assert profiled[:2] == plain[:2]
+    assert plain[2] == ""
+    assert "Ordered by: cumulative time" in profiled[2]
+
+
 def test_blocks_command(capsys):
     code, out, _ = run_cli(capsys, "blocks", "--modulus", "3", "--degree", "3")
     assert code == 0
@@ -151,6 +173,13 @@ def test_hecke_normal_form_command(capsys):
         {"exponents": [0, 0], "permutation": [2, 1], "coeff": 1},
         {"exponents": [1, 0], "permutation": [1, 2], "coeff": 1},
     ]
+
+
+def test_hecke_deep_nesting_is_a_usage_error(capsys):
+    expr = "(" * 2000 + "y1" + ")" * 2000
+    code, out, err = run_cli(capsys, "hecke", "normal-form", "--rank", "2", "--expr", expr)
+    assert code == 2 and out == ""
+    assert err == "error: expression nests deeper than 100 levels\n"
 
 
 def test_verify_command_passes(capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fockspace.hecke import (
+    MAX_NESTING,
     HeckeElement,
     all_reduced_words,
     compose,
@@ -180,6 +181,16 @@ def test_parse_expression():
 def test_parse_expression_errors(bad):
     with pytest.raises(ValueError):
         parse_expression(bad, 2)
+
+
+def test_parse_expression_nesting_bound():
+    y, _ = gens(2)
+    deepest = "(" * MAX_NESTING + "y1" + ")" * MAX_NESTING
+    assert parse_expression(deepest, 2) == y[1]
+    assert parse_expression("-" * MAX_NESTING + "y1", 2) == y[1]
+    for too_deep in ["(" + deepest + ")", "-" * (MAX_NESTING + 1) + "y1", "-(" + deepest + ")"]:
+        with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING} levels"):
+            parse_expression(too_deep, 2)
 
 
 @pytest.mark.parametrize("rank", [0, -1])

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import partition_strategy
+from conftest import large_partition_strategy, partition_strategy
 from fockspace.partitions import (
     Box,
     Partition,
@@ -24,6 +25,7 @@ from fockspace.partitions import (
     residue,
     residue_counts,
 )
+from fockspace.verify import _brute_force_rim_hooks
 
 
 def test_partition_validation():
@@ -152,6 +154,25 @@ def test_rim_hooks_are_valid_strips():
                 )
 
 
+@pytest.mark.parametrize("e", [2, 3, 5])
+def test_abacus_rim_hooks_match_the_brute_force_oracle(e):
+    for lam in partitions_up_to(10):
+        # same box sets, same leftover shapes, same rim order
+        assert removable_rim_hooks(lam, e) == _brute_force_rim_hooks(lam, e), lam
+
+
+def test_abacus_rim_hooks_far_past_the_brute_force_range():
+    staircase = Partition(range(24, 0, -2))  # size 156
+    # each row ends in a removable horizontal domino; the bottom row's comes first
+    expected = []
+    for r in range(len(staircase), 0, -1):
+        rows = list(staircase.parts)
+        rows[r - 1] -= 2
+        domino = frozenset({Box(r, rows[r - 1] + 1), Box(r, rows[r - 1] + 2)})
+        expected.append((domino, Partition(x for x in rows if x)))
+    assert removable_rim_hooks(staircase, 2) == expected
+
+
 def test_p_core_examples():
     assert p_core(Partition((4, 4, 2, 1)), 0) == Partition((4, 4, 2, 1))
     assert p_core(Partition((2, 1, 1)), 2) == Partition()
@@ -177,6 +198,14 @@ def test_core_and_weight_matches_beta_numbers(e):
         core, hooks_removed = core_and_weight(lam, e)
         assert core == p_core_beta(lam, e)
         assert lam.size == core.size + e * hooks_removed
+
+
+@settings(deadline=None)
+@given(large_partition_strategy(500), st.sampled_from([2, 3, 5]))
+def test_core_and_weight_matches_beta_numbers_at_large_sizes(lam, e):
+    core, hooks_removed = core_and_weight(lam, e)
+    assert core == p_core_beta(lam, e)
+    assert lam.size == core.size + e * hooks_removed
 
 
 def test_core_and_weight_rejects_an_inconsistent_removal(monkeypatch):

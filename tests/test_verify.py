@@ -8,6 +8,7 @@ from fockspace.verify import (
     check_confluence,
     check_connectivity,
     check_core_well_defined,
+    check_rim_hooks_agree,
     run_verify,
 )
 
@@ -70,3 +71,20 @@ def test_connectivity_both_regimes():
 @pytest.mark.parametrize("e", [2, 3])
 def test_exhaustive_hook_removal_well_defined(e):
     assert check_core_well_defined(e, 6) is None
+
+
+def test_blocks_suite_checks_the_abacus_rim_hooks():
+    for e in (0, 2, 3, 5):
+        report = run_verify("blocks", e, 12, DEFAULT_SEED)
+        (result,) = [r for r in report.results if r.name == "rim_hooks_agree"]
+        assert result.passed and result.params == {"modulus": e, "max_size": 10}
+
+
+def test_rim_hooks_agree_catches_a_wrong_rim_order(monkeypatch):
+    import fockspace.verify as verify_module
+
+    original = verify_module.removable_rim_hooks
+    monkeypatch.setattr(
+        verify_module, "removable_rim_hooks", lambda p, length: original(p, length)[::-1]
+    )
+    assert check_rim_hooks_agree(2, 4) == "lambda=[2,2], length=2"
