@@ -42,8 +42,6 @@ def x_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
     the content of the box; the value does not depend on n.
     """
     check_modulus(e)
-    if box not in removable_boxes(p):
-        raise ValueError(f"box {tuple(box)} is not removable from {p}")
     mu = remove_box(p, box)
     numerator = casimir_scalar(p, n + 1) - casimir_scalar(mu, n) - p.size - n
     j = _halved(numerator, "removal eigenvalue")
@@ -61,8 +59,6 @@ def y_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
     one-box column has Casimir scalar n; checked against the box content.
     """
     check_modulus(e)
-    if box not in addable_boxes(p):
-        raise ValueError(f"box {tuple(box)} is not addable to {p}")
     larger = add_box(p, box)
     numerator = casimir_scalar(larger, n) - casimir_scalar(p, n) - n
     j = _halved(numerator, "addition eigenvalue")

@@ -41,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crystal.add_argument("--modulus", type=int, required=True)
     crystal.add_argument("--max-size", type=int, required=True)
     crystal.add_argument("--format", choices=("json", "dot"), default="json")
+    crystal.set_defaults(run=_run_crystal)
 
     fock = sub.add_parser("fock", help="Fock space operators")
     fock_sub = fock.add_subparsers(dest="fock_command", required=True)
@@ -50,34 +51,41 @@ def _build_parser() -> argparse.ArgumentParser:
     opm.add_argument("--modulus", type=int, required=True)
     opm.add_argument("--degree", type=int, required=True)
     opm.add_argument("--format", choices=("json", "csv"), default="json")
+    opm.set_defaults(run=_run_op_matrix)
 
     blocks_p = sub.add_parser("blocks", help="block decomposition of one degree layer")
     blocks_p.add_argument("--modulus", type=int, required=True)
     blocks_p.add_argument("--degree", type=int, required=True)
     blocks_p.add_argument("--format", choices=("json",), default="json")
+    blocks_p.set_defaults(run=_run_blocks)
 
     core = sub.add_parser("core", help="e-core and p-weight of a partition")
     core.add_argument("--modulus", type=int, required=True)
     core.add_argument("--partition", type=str, required=True)
+    core.set_defaults(run=_run_core)
 
     casimir = sub.add_parser("casimir", help="Casimir scalar and box eigenvalues")
     casimir.add_argument("--partition", type=str, required=True)
     casimir.add_argument("--n", type=int, required=True)
     casimir.add_argument("--modulus", type=int, default=0)
+    casimir.set_defaults(run=_run_casimir)
 
     branch = sub.add_parser("branch", help="one-box branching via Schur expansion")
     branch.add_argument("--partition", type=str, required=True)
     branch.add_argument("--n", type=int, required=True)
+    branch.set_defaults(run=_run_branch)
 
     pieri = sub.add_parser("pieri", help="multiply by the standard character and expand")
     pieri.add_argument("--partition", type=str, required=True)
     pieri.add_argument("--n", type=int, required=True)
+    pieri.set_defaults(run=_run_pieri)
 
     hecke = sub.add_parser("hecke", help="degenerate affine Hecke algebra")
     hecke_sub = hecke.add_subparsers(dest="hecke_command", required=True)
     nf = hecke_sub.add_parser("normal-form", help="normal form of a generator expression")
     nf.add_argument("--rank", type=int, required=True)
     nf.add_argument("--expr", type=str, required=True)
+    nf.set_defaults(run=_run_hecke_normal_form)
 
     verify = sub.add_parser("verify", help="run property suites")
     verify.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
@@ -89,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include elapsed seconds per check (breaks byte-for-byte determinism)",
     )
+    verify.set_defaults(run=_run_verify)
     return parser
 
 
@@ -176,41 +185,22 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
     try:
-        if args.command == "crystal":
-            return _run_crystal(args)
-        if args.command == "fock":
-            return _run_op_matrix(args)
-        if args.command == "blocks":
-            return _run_blocks(args)
-        if args.command == "core":
-            return _run_core(args)
-        if args.command == "casimir":
-            return _run_casimir(args)
-        if args.command == "branch":
-            return _run_branch(args)
-        if args.command == "pieri":
-            return _run_pieri(args)
-        if args.command == "hecke":
-            return _run_hecke_normal_form(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 2
 
 
-def _profiled(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _profiled(args: argparse.Namespace) -> int:
     """Run the request under cProfile and print its top rows to stderr."""
     # imported here so that plain requests do not pay for loading the profiler
     import cProfile
     import pstats
 
     profiler = cProfile.Profile()
-    code = profiler.runcall(_dispatch, parser, args)
+    code = profiler.runcall(_dispatch, args)
     stats = pstats.Stats(profiler, stream=sys.stderr)
     stats.sort_stats("cumulative").print_stats(PROFILE_ROWS)
     return code
@@ -223,8 +213,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.profile:
-        return _profiled(parser, args)
-    return _dispatch(parser, args)
+        return _profiled(args)
+    return _dispatch(args)
 
 
 if __name__ == "__main__":

@@ -14,21 +14,17 @@ from typing import Optional
 
 from .fock import Weight, weight
 from .partitions import (
+    MINUS,
+    PLUS,
     Box,
     Partition,
     add_box,
-    addable_boxes,
-    canonical_residue,
     check_modulus,
+    i_corners,
     partitions_up_to,
-    removable_boxes,
     remove_box,
-    residue,
     residue_window,
 )
-
-PLUS = "+"
-MINUS = "-"
 
 
 @dataclass(frozen=True)
@@ -47,13 +43,7 @@ class Signature:
 
 def signature(p: Partition, i: int, e: int) -> Signature:
     """The i-signature of p, ordered bottom left to top right."""
-    i = canonical_residue(i, e)
-    tagged = [(PLUS, b) for b in addable_boxes(p) if residue(b, e) == i]
-    tagged += [(MINUS, b) for b in removable_boxes(p) if residue(b, e) == i]
-    # within one residue each rim row carries at most one symbol, so the rim
-    # walk order is just decreasing row
-    tagged.sort(key=lambda t: -t[1].row)
-    return Signature(tuple(tagged))
+    return Signature(tuple(i_corners(p, i, e)))
 
 
 def reduced_signature(sig: Signature) -> Signature:

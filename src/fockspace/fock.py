@@ -12,16 +12,15 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .partitions import (
+    MINUS,
+    PLUS,
     Partition,
-    addable_boxes,
-    add_box,
+    _edit_row,
+    _i_corners,
     canonical_residue,
     check_modulus,
     n_value,
     partitions_of,
-    removable_boxes,
-    remove_box,
-    residue,
     residue_counts,
 )
 
@@ -88,28 +87,27 @@ class FockVector:
         return f"FockVector({body})"
 
 
-def apply_f(v: FockVector, i: int, e: int) -> FockVector:
-    """Add one i-box in all ways, extended linearly."""
+def _move_boxes(v: FockVector, i: int, e: int, step: int) -> FockVector:
+    """Add (step 1) or remove (step -1) one i-box in all ways, linearly."""
     i = canonical_residue(i, e)
+    wanted = PLUS if step > 0 else MINUS
     out: dict[Partition, int] = {}
     for p, c in v.terms.items():
-        for b in addable_boxes(p):
-            if residue(b, e) == i:
-                q = add_box(p, b)
+        for sign, b in _i_corners(p, i, e):
+            if sign == wanted:
+                q = _edit_row(p, b.row, step)
                 out[q] = out.get(q, 0) + c
     return FockVector(out)
+
+
+def apply_f(v: FockVector, i: int, e: int) -> FockVector:
+    """Add one i-box in all ways, extended linearly."""
+    return _move_boxes(v, i, e, 1)
 
 
 def apply_e(v: FockVector, i: int, e: int) -> FockVector:
     """Remove one i-box in all ways, extended linearly."""
-    i = canonical_residue(i, e)
-    out: dict[Partition, int] = {}
-    for p, c in v.terms.items():
-        for b in removable_boxes(p):
-            if residue(b, e) == i:
-                q = remove_box(p, b)
-                out[q] = out.get(q, 0) + c
-    return FockVector(out)
+    return _move_boxes(v, i, e, -1)
 
 
 def apply_h(v: FockVector, i: int, e: int) -> FockVector:

@@ -129,46 +129,72 @@ def residue(box: Box, e: int) -> int:
     return canonical_residue(content(box), e)
 
 
-def addable_boxes(p: Partition) -> list[Box]:
-    """Boxes whose addition leaves a partition, bottom-left to top-right."""
+PLUS = "+"
+MINUS = "-"
+
+
+def rim_corners(p: Partition) -> list[tuple[int, int, int]]:
+    """Every corner of p as (sign, row, col), bottom left to top right.
+
+    Sign 1 marks an addable box, -1 a removable one.  This is the only code
+    that knows which rows carry a corner.  Contents col - row increase
+    strictly along the list, so it is already in rim order.
+    """
     parts = p.parts
     k = len(parts)
-    out = [Box(k + 1, 1)]
+    out = [(1, k + 1, 1)]
     for r in range(k, 0, -1):
-        if r == 1 or parts[r - 2] > parts[r - 1]:
-            out.append(Box(r, parts[r - 1] + 1))
+        length = parts[r - 1]
+        if r == k or parts[r] < length:
+            out.append((-1, r, length))
+        if r == 1 or parts[r - 2] > length:
+            out.append((1, r, length + 1))
     return out
+
+
+def i_corners(p: Partition, i: int, e: int) -> list[tuple[str, Box]]:
+    """The corners of residue i in rim order, tagged PLUS (addable) or MINUS."""
+    return _i_corners(p, canonical_residue(i, e), e)
+
+
+def _i_corners(p: Partition, i: int, e: int) -> list[tuple[str, Box]]:
+    """i_corners for a modulus e already checked and i already reduced mod e."""
+    return [
+        (PLUS if sign > 0 else MINUS, Box(row, col))
+        for sign, row, col in rim_corners(p)
+        if ((col - row) % e if e else col - row) == i
+    ]
+
+
+def addable_boxes(p: Partition) -> list[Box]:
+    """Boxes whose addition leaves a partition, bottom-left to top-right."""
+    return [Box(row, col) for sign, row, col in rim_corners(p) if sign > 0]
 
 
 def removable_boxes(p: Partition) -> list[Box]:
     """Boxes whose removal leaves a partition, bottom-left to top-right."""
-    parts = p.parts
-    k = len(parts)
-    out = []
-    for r in range(k, 0, -1):
-        if r == k or parts[r] < parts[r - 1]:
-            out.append(Box(r, parts[r - 1]))
-    return out
+    return [Box(row, col) for sign, row, col in rim_corners(p) if sign < 0]
+
+
+def _edit_row(p: Partition, row: int, step: int) -> Partition:
+    """p with one box added to (step 1) or removed from (step -1) a row.
+
+    Unchecked: callers pass a corner of p from the rim walk.
+    """
+    parts, length = p.parts, p.row(row) + step
+    return Partition(parts[: row - 1] + ((length,) if length else ()) + parts[row:])
 
 
 def add_box(p: Partition, box: Box) -> Partition:
     if box not in addable_boxes(p):
         raise ValueError(f"box {tuple(box)} is not addable to {p}")
-    if box.row == len(p.parts) + 1:
-        return Partition(p.parts + (1,))
-    parts = list(p.parts)
-    parts[box.row - 1] += 1
-    return Partition(parts)
+    return _edit_row(p, box.row, 1)
 
 
 def remove_box(p: Partition, box: Box) -> Partition:
     if box not in removable_boxes(p):
         raise ValueError(f"box {tuple(box)} is not removable from {p}")
-    parts = list(p.parts)
-    parts[box.row - 1] -= 1
-    if parts[-1] == 0:
-        parts.pop()
-    return Partition(parts)
+    return _edit_row(p, box.row, -1)
 
 
 def residue_counts(p: Partition, e: int) -> dict[int, int]:
@@ -194,8 +220,7 @@ def n_value(p: Partition, i: int, e: int) -> int:
     twice, exactly as the sum is written.
     """
     m = residue_counts(p, e)
-    i = canonical_residue(i, e)
-    below, above = canonical_residue(i - 1, e), canonical_residue(i + 1, e)
+    i, below, above = (j % e if e else j for j in (i, i - 1, i + 1))
     return m.get(below, 0) + m.get(above, 0) - 2 * m.get(i, 0) + (1 if i == 0 else 0)
 
 

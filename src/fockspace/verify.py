@@ -52,13 +52,14 @@ from .fock import (
     weight,
 )
 from .partitions import (
+    PLUS,
     Box,
     Partition,
     addable_boxes,
     add_box,
-    canonical_residue,
     check_modulus,
     content,
+    i_corners,
     m_count,
     n_value,
     p_core,
@@ -117,7 +118,7 @@ def check_cartan_pairing(e: int, max_size: int) -> Optional[str]:
     for lam in partitions_up_to(max_size):
         counts = residue_counts(lam, e)
         for i in window:
-            pairing = (1 if canonical_residue(i, e) == canonical_residue(0, e) else 0) - sum(
+            pairing = (1 if i == 0 else 0) - sum(
                 counts.get(j, 0) * cartan_entry(i, j, e) for j in window
             )
             if pairing != n_value(lam, i, e):
@@ -134,11 +135,15 @@ def check_matrix_transpose(e: int, max_degree: int) -> Optional[str]:
     return None
 
 
+def _n_addable(p: Partition, i: int, e: int) -> int:
+    return sum(1 for sign, _ in i_corners(p, i, e) if sign == PLUS)
+
+
 def check_integrability(e: int, max_size: int) -> Optional[str]:
     """f_i^N kills v_lambda once N exceeds the number of addable i-boxes."""
     for lam in partitions_up_to(max_size):
         for i in residue_window(e, max_size):
-            n_addable = sum(1 for b in addable_boxes(lam) if residue(b, e) == canonical_residue(i, e))
+            n_addable = _n_addable(lam, i, e)
             v = FockVector.basis(lam)
             for _ in range(n_addable + 1):
                 v = apply_f(v, i, e)
@@ -177,35 +182,27 @@ def check_cartan_action(e: int, max_size: int) -> Optional[str]:
 
 
 def check_serre(e: int, max_size: int) -> Optional[str]:
-    """ad(e_i)^{1 - a_ij}(e_j) annihilates every small basis vector.
-
-    Checked for e = 0 and e >= 3 (simply-laced rows of the Cartan matrix).
-    """
-    if e == 2:
-        return None
+    """ad(e_i)^{1 - a_ij}(e_j) annihilates every small basis vector."""
     window = residue_window(e, max_size)
+    pairs = [(i, j, 1 - cartan_entry(i, j, e)) for i in window for j in window if i != j]
     for lam in partitions_up_to(max_size):
         v = FockVector.basis(lam)
-        for i in window:
-            for j in window:
-                if canonical_residue(i, e) == canonical_residue(j, e):
-                    continue
-                m = 1 - cartan_entry(i, j, e)
-                # sum_k (-1)^k C(m,k) e_i^{m-k} e_j e_i^k
-                total = FockVector.zero()
-                sign, binom = 1, 1
-                for k in range(m + 1):
-                    term = v
-                    for _ in range(k):
-                        term = apply_e(term, i, e)
-                    term = apply_e(term, j, e)
-                    for _ in range(m - k):
-                        term = apply_e(term, i, e)
-                    total = total + (sign * binom) * term
-                    sign = -sign
-                    binom = binom * (m - k) // (k + 1)
-                if not total.is_zero():
-                    return f"lambda={lam}, i={i}, j={j}, e={e}"
+        for i, j, m in pairs:
+            # sum_k (-1)^k C(m,k) e_i^{m-k} e_j e_i^k
+            total = FockVector.zero()
+            sign, binom = 1, 1
+            for k in range(m + 1):
+                term = v
+                for _ in range(k):
+                    term = apply_e(term, i, e)
+                term = apply_e(term, j, e)
+                for _ in range(m - k):
+                    term = apply_e(term, i, e)
+                total = total + (sign * binom) * term
+                sign = -sign
+                binom = binom * (m - k) // (k + 1)
+            if not total.is_zero():
+                return f"lambda={lam}, i={i}, j={j}, e={e}"
     return None
 
 
@@ -339,9 +336,7 @@ def check_addable_monotone(e: int, max_size: int) -> Optional[str]:
             mu = f_tilde(lam, i, e)
             if mu is None:
                 continue
-            before = sum(1 for b in addable_boxes(lam) if residue(b, e) == canonical_residue(i, e))
-            after = sum(1 for b in addable_boxes(mu) if residue(b, e) == canonical_residue(i, e))
-            if after > before:
+            if _n_addable(mu, i, e) > _n_addable(lam, i, e):
                 return f"lambda={lam}, mu={mu}, i={i}, e={e}"
     return None
 

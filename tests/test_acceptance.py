@@ -54,10 +54,10 @@ def test_criterion_1_kac_moody_commutators():
 
 def test_criterion_2_cartan_and_serre():
     runs = []
-    for e in (3, 5, 0):
+    for e in (2, 3, 5, 0):
         runs.append((f"cartan e={e}", lambda e=e: check_cartan_action(e, 7)))
         runs.append((f"serre e={e}", lambda e=e: check_serre(e, 7)))
-    _gate(2, "[h_i,e_j] = a_ij e_j and Serre on |lam| <= 7, e in {3,5,0}", 60.0, runs)
+    _gate(2, "[h_i,e_j] = a_ij e_j and Serre on |lam| <= 7, e in {2,3,5,0}", 60.0, runs)
 
 
 def test_criterion_3_crystal_axioms():

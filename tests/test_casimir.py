@@ -61,6 +61,13 @@ def test_y_eigenvalue_examples():
         y_eigenvalue(P((1,)), Box(1, 1), 2, 0)
 
 
+def test_eigenvalues_of_a_non_corner_box_name_it():
+    with pytest.raises(ValueError, match=r"^box \(2, 1\) is not removable from \[2\]$"):
+        x_eigenvalue(P((2,)), Box(2, 1), 2, 0)
+    with pytest.raises(ValueError, match=r"^box \(1, 1\) is not addable to \[1\]$"):
+        y_eigenvalue(P((1,)), Box(1, 1), 2, 0)
+
+
 def test_branching_identity():
     for lam in partitions_up_to(8):
         for box in removable_boxes(lam):

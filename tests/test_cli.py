@@ -240,6 +240,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "q" in err
 
 
+@pytest.mark.parametrize("command", ["fock", "hecke"])
+def test_a_command_without_its_subcommand_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command)
+    assert code == 2 and out == "" and err.startswith("usage: fockspace " + command)
+
+
 def test_unknown_flag_reported(capsys):
     code, _, err = run_cli(capsys, "crystal", "--modulus", "2", "--max-size", "2", "--bogus")
     assert code == 2 and "--bogus" in err

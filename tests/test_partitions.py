@@ -1,9 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import large_partition_strategy, partition_strategy
 from fockspace.partitions import (
+    MINUS,
+    PLUS,
     Box,
     Partition,
     addable_boxes,
@@ -12,6 +16,7 @@ from fockspace.partitions import (
     check_modulus,
     content,
     core_and_weight,
+    i_corners,
     m_count,
     n_value,
     p_core,
@@ -24,6 +29,8 @@ from fockspace.partitions import (
     remove_box,
     residue,
     residue_counts,
+    residue_window,
+    rim_corners,
 )
 from fockspace.verify import _brute_force_rim_hooks
 
@@ -127,6 +134,61 @@ def test_add_remove_examples():
         add_box(Partition((2, 2)), Box(2, 3))
     with pytest.raises(ValueError):
         remove_box(Partition((2, 2)), Box(1, 2))
+
+
+def test_rim_corners_example():
+    assert rim_corners(Partition((2, 1))) == [
+        (1, 3, 1), (-1, 2, 1), (1, 2, 2), (-1, 1, 2), (1, 1, 3)
+    ]
+    assert rim_corners(Partition()) == [(1, 1, 1)]
+
+
+@pytest.mark.parametrize("e", [0, 2, 3, 5])
+def test_i_corners_match_the_filtered_and_sorted_box_lists(e):
+    for lam in partitions_up_to(10):
+        for i in residue_window(e, 11):
+            expected = [(PLUS, b) for b in addable_boxes(lam) if residue(b, e) == canonical_residue(i, e)]
+            expected += [(MINUS, b) for b in removable_boxes(lam) if residue(b, e) == canonical_residue(i, e)]
+            expected.sort(key=lambda t: -t[1].row)
+            assert i_corners(lam, i, e) == expected, (lam, i, e)
+
+
+def test_i_corners_rejects_a_bad_modulus():
+    with pytest.raises(ValueError, match="modulus"):
+        i_corners(Partition((2, 1)), 0, 1)
+
+
+def _row_edit(lam: Partition, box: Box, step: int):
+    """The shape left by moving the end of row box.row by step, if box is that end."""
+    rows = list(lam.parts) + [0, 0]
+    end = rows[box.row - 1] + (1 if step > 0 else 0)
+    if box.col != end:
+        return None
+    rows[box.row - 1] += step
+    while rows and rows[-1] == 0:
+        rows.pop()
+    if any(x < 1 for x in rows) or any(a < b for a, b in zip(rows, rows[1:])):
+        return None
+    return Partition(rows)
+
+
+def test_add_and_remove_box_accept_exactly_the_valid_row_edits():
+    for lam in partitions_up_to(8):
+        accepted = {1: [], -1: []}
+        for r in range(1, len(lam) + 3):
+            for c in range(1, lam.row(1) + 3):
+                box = Box(r, c)
+                for step, move, verb in ((1, add_box, "addable to"), (-1, remove_box, "removable from")):
+                    expected = _row_edit(lam, box, step)
+                    if expected is None:
+                        with pytest.raises(ValueError, match=rf"^box \({r}, {c}\) is not {verb} {re.escape(str(lam))}$"):
+                            move(lam, box)
+                    else:
+                        assert move(lam, box) == expected
+                        accepted[step].append(box)
+        # the accepted boxes, read bottom row first, are the corner lists in rim order
+        assert sorted(accepted[1], key=lambda b: -b.row) == addable_boxes(lam)
+        assert sorted(accepted[-1], key=lambda b: -b.row) == removable_boxes(lam)
 
 
 def test_rim_hook_examples():

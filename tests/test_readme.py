@@ -1,0 +1,45 @@
+"""The README "Library use" block runs and its comments state true values."""
+
+import ast
+from pathlib import Path
+
+from fockspace import Block, Box, FockVector, Partition
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_use_block() -> str:
+    section = README.read_text().split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _run_block(block: str) -> dict[str, object]:
+    """Run the block statement by statement; map each bare expression to its value."""
+    namespace: dict[str, object] = {}
+    values: dict[str, object] = {}
+    for statement in ast.parse(block).body:
+        source = ast.get_source_segment(block, statement)
+        if isinstance(statement, ast.Expr):
+            values[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    return values
+
+
+def test_library_use_block_states_true_values():
+    values = _run_block(_library_use_block())
+    image = values["apply_f(FockVector.basis(lam), 2, 3)"]
+    assert image == FockVector.basis(Partition((3, 1)))
+    assert repr(image) == "FockVector(1*v[3,1])"
+    assert values["i_corners(lam, 2, 3)"] == [("-", Box(2, 1)), ("+", Box(1, 3))]
+    assert values["residue_counts(lam, 3)"] == {0: 1, 1: 1, 2: 1}
+    assert values["p_core(Partition((4, 4, 2, 1)), 3)"] == Partition((1, 1))
+    assert values["core_and_weight(Partition((4, 4, 2, 1)), 3)"] == (Partition((1, 1)), 3)
+    assert values["schur(lam, 2).terms"] == {(2, 1): 1, (1, 2): 1}
+    layer = values["[b.json_dict() for b in layer]"]
+    assert sum(len(b["members"]) for b in layer) == 11  # the partitions of 6
+    classes = values["derived_equivalence_classes(layer)"]
+    assert all(isinstance(b, Block) for cls in classes for b in cls)
+    assert all(len({b.p_weight for b in cls}) == 1 for cls in classes)
+    assert sorted(b.p_weight for cls in classes for b in cls) == sorted(b["p_weight"] for b in layer)
+    assert values["crystal_graph(2, 4).dot()"].startswith("digraph crystal {")
