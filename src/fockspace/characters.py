@@ -1,20 +1,27 @@
 """Schur polynomials and the character-level branching and Pieri rules.
 
-Schur polynomials are computed by enumerating semistandard tableaux; the
-Jacobi-Trudi determinant over complete homogeneous polynomials provides an
-independent second construction used for cross-checking.  Expanding a
-symmetric polynomial in the Schur basis works by repeatedly subtracting the
-Schur polynomial whose leading monomial matches: the lexicographically
-greatest exponent vector of a symmetric polynomial is weakly decreasing,
-and subtracting its Schur polynomial only leaves lex-smaller terms, so the
-loop terminates.
+Schur polynomials are computed by the branching rule (Macdonald, I (5.11))
+
+    s_lam(x_1..x_n) = sum of s_mu(x_1..x_{n-1}) * x_n^{|lam/mu|}
+
+over the mu for which lam/mu is a horizontal strip, which is the restriction
+step of the inverse system Lambda = lim Lambda_n; its work grows with the
+number of distinct terms, not with the number of semistandard tableaux.
+Tableau enumeration (in ``verify``) and the Jacobi-Trudi determinant over
+complete homogeneous polynomials are independent second constructions used
+for cross-checking.  Expanding a symmetric polynomial in the Schur basis
+works by repeatedly subtracting the Schur polynomial whose leading monomial
+matches: the lexicographically greatest exponent vector of a symmetric
+polynomial is weakly decreasing, and subtracting its Schur polynomial only
+leaves lex-smaller terms, so the loop terminates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from typing import Iterator, Mapping
+from itertools import permutations, product
+from operator import add
+from typing import Iterable, Mapping
 
 from .partitions import Partition
 
@@ -28,7 +35,6 @@ class SymPolynomial:
         self,
         num_vars: int,
         terms: Mapping[tuple[int, ...], int] | None = None,
-        validate: bool = True,
     ):
         if num_vars < 0:
             raise ValueError(f"number of variables must be >= 0, got {num_vars}")
@@ -42,8 +48,17 @@ class SymPolynomial:
                     raise ValueError(f"negative exponent in {exps}")
                 if coeff:
                     self.terms[tuple(exps)] = int(coeff)
-        if validate:
-            self._check_symmetric()
+        self._check_symmetric()
+
+    @classmethod
+    def _trusted(
+        cls, num_vars: int, items: Iterable[tuple[tuple[int, ...], int]]
+    ) -> "SymPolynomial":
+        """Wrap terms known to be valid and symmetric; only zero coefficients go."""
+        poly = object.__new__(cls)
+        poly.num_vars = num_vars
+        poly.terms = {exps: c for exps, c in items if c}
+        return poly
 
     def _check_symmetric(self) -> None:
         # adjacent transpositions generate the full symmetric group
@@ -84,16 +99,14 @@ class SymPolynomial:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0) + c
-        return SymPolynomial(self.num_vars, out, validate=False)
+        return SymPolynomial._trusted(self.num_vars, out.items())
 
     def __sub__(self, other: "SymPolynomial") -> "SymPolynomial":
         return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "SymPolynomial":
-        return SymPolynomial(
-            self.num_vars,
-            {e: scalar * c for e, c in self.terms.items()},
-            validate=False,
+        return SymPolynomial._trusted(
+            self.num_vars, ((e, scalar * c) for e, c in self.terms.items())
         )
 
     def __mul__(self, other: "SymPolynomial") -> "SymPolynomial":
@@ -101,9 +114,9 @@ class SymPolynomial:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return SymPolynomial(self.num_vars, out, validate=False)
+        return SymPolynomial._trusted(self.num_vars, out.items())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -124,49 +137,45 @@ class SymPolynomial:
         return f"SymPolynomial({self.num_vars}, {body})"
 
 
-def _ssyt_rows(shape: tuple[int, ...], n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All semistandard fillings of the shape with entries in 1..n."""
-
-    def fill(row_idx: int, above: tuple[int, ...], acc: list[tuple[int, ...]]) -> Iterator:
-        if row_idx == len(shape):
-            yield tuple(acc)
-            return
-        width = shape[row_idx]
-
-        def build_row(col: int, row: list[int]) -> Iterator:
-            if col == width:
-                acc.append(tuple(row))
-                yield from fill(row_idx + 1, tuple(row), acc)
-                acc.pop()
-                return
-            lo = row[col - 1] if col else 1
-            if col < len(above):
-                lo = max(lo, above[col] + 1)
-            for val in range(lo, n + 1):
-                row.append(val)
-                yield from build_row(col + 1, row)
-                row.pop()
-
-        yield from build_row(0, [])
-
-    yield from fill(0, (), [])
-
-
 @lru_cache(maxsize=4096)
 def _schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    counts: dict[tuple[int, ...], int] = {}
-    for tableau in _ssyt_rows(shape, n):
-        exps = [0] * n
-        for row in tableau:
-            for val in row:
-                exps[val - 1] += 1
-        key = tuple(exps)
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+    """The sorted (exponent vector, coefficient) pairs of s_shape(x_1..x_n).
+
+    Sub-shapes are memoised for this call only, so the lru cache holds just
+    the requested pairs.
+    """
+    if len(shape) > n:
+        return ()
+    return tuple(sorted(_branch(shape, n, {}).items()))
+
+
+def _branch(
+    shape: tuple[int, ...], n: int, memo: dict[tuple[tuple[int, ...], int], dict]
+) -> dict[tuple[int, ...], int]:
+    """s_shape(x_1..x_n) by the branching rule; needs len(shape) <= n."""
+    if n == 0:
+        return {(): 1}
+    key = (shape, n)
+    if key in memo:
+        return memo[key]
+    terms: dict[tuple[int, ...], int] = {}
+    size = sum(shape)
+    # mu interlaces shape: shape_{k+1} <= mu_k <= shape_k, with at most n-1 rows
+    bounds = [
+        range(shape[k + 1] if k + 1 < len(shape) else 0, shape[k] + 1)
+        for k in range(min(len(shape), n - 1))
+    ]
+    for mu in product(*bounds):
+        tail = (size - sum(mu),)
+        for exps, c in _branch(tuple(x for x in mu if x), n - 1, memo).items():
+            exps += tail
+            terms[exps] = terms.get(exps, 0) + c
+    memo[key] = terms
+    return terms
 
 
 def schur(p: Partition, n: int) -> SymPolynomial:
-    """The Schur polynomial s_p(x_1..x_n) by semistandard tableau counting.
+    """The Schur polynomial s_p(x_1..x_n) by the branching rule.
 
     Zero when p has more than n rows.
     """
@@ -174,7 +183,7 @@ def schur(p: Partition, n: int) -> SymPolynomial:
         raise ValueError(f"number of variables must be >= 0, got {n}")
     if len(p.parts) > n:
         return SymPolynomial.zero(n)
-    return SymPolynomial(n, dict(_schur_terms(p.parts, n)), validate=False)
+    return SymPolynomial._trusted(n, _schur_terms(p.parts, n))
 
 
 def complete_homogeneous(k: int, n: int) -> SymPolynomial:
@@ -194,7 +203,7 @@ def complete_homogeneous(k: int, n: int) -> SymPolynomial:
             compositions(remaining - v, slots - 1, acc + [v])
 
     compositions(k, n, [])
-    return SymPolynomial(n, terms, validate=False)
+    return SymPolynomial._trusted(n, terms.items())
 
 
 def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
@@ -237,23 +246,27 @@ def restrict_last_var(f: SymPolynomial) -> SymPolynomial:
     """Set the last variable to zero, landing in one variable fewer."""
     if f.num_vars < 1:
         raise ValueError("no variable left to restrict")
-    terms = {exps[:-1]: c for exps, c in f.terms.items() if exps[-1] == 0}
-    return SymPolynomial(f.num_vars - 1, terms, validate=False)
+    terms = ((exps[:-1], c) for exps, c in f.terms.items() if exps[-1] == 0)
+    return SymPolynomial._trusted(f.num_vars - 1, terms)
 
 
 def schur_expand(f: SymPolynomial) -> dict[Partition, int]:
     """Expand a symmetric polynomial in the Schur basis (greedy subtraction)."""
     coeffs: dict[Partition, int] = {}
-    remaining = f
+    remaining = dict(f.terms)
     while remaining:
-        lead = max(remaining.terms)
+        lead = max(remaining)
         shape = tuple(x for x in lead if x)
         if any(shape[k] < shape[k + 1] for k in range(len(shape) - 1)):
             raise ArithmeticError(f"leading exponent {lead} is not a partition")
-        mu = Partition(shape)
-        c = remaining.terms[lead]
-        coeffs[mu] = c
-        remaining = remaining - c * schur(mu, f.num_vars)
+        c = remaining[lead]
+        coeffs[Partition(shape)] = c
+        for exps, k in _schur_terms(shape, f.num_vars):
+            left = remaining.get(exps, 0) - c * k
+            if left:
+                remaining[exps] = left
+            else:
+                del remaining[exps]
     return coeffs
 
 
@@ -276,10 +289,8 @@ def branch_r1(p: Partition, n: int) -> list[Partition]:
     if n < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
     big = schur(p, n + 1)
-    layer = {
-        exps[:-1]: c for exps, c in big.terms.items() if exps[-1] == 1
-    }
-    return _expand_to_multiset(SymPolynomial(n, layer, validate=False))
+    layer = ((exps[:-1], c) for exps, c in big.terms.items() if exps[-1] == 1)
+    return _expand_to_multiset(SymPolynomial._trusted(n, layer))
 
 
 def pieri_mult(p: Partition, n: int) -> list[Partition]:

@@ -18,11 +18,10 @@ from .partitions import (
     PLUS,
     Box,
     Partition,
-    add_box,
+    _edit_row,
     check_modulus,
     i_corners,
     partitions_up_to,
-    remove_box,
     residue_window,
 )
 
@@ -81,13 +80,13 @@ def cogood_box(p: Partition, i: int, e: int) -> Optional[Box]:
 def e_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
     """Remove the i-good box; None when there is none."""
     box = good_box(p, i, e)
-    return None if box is None else remove_box(p, box)
+    return None if box is None else _edit_row(p, box.row, -1)
 
 
 def f_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
     """Add the i-cogood box; None when there is none."""
     box = cogood_box(p, i, e)
-    return None if box is None else add_box(p, box)
+    return None if box is None else _edit_row(p, box.row, 1)
 
 
 def epsilon(p: Partition, i: int, e: int) -> int:

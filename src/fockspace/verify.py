@@ -13,12 +13,13 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .blocks import blocks
 from .casimir import casimir_scalar, x_eigenvalue, y_eigenvalue
 from .characters import (
     SymPolynomial,
+    _schur_terms,
     branch_r1,
     pieri_mult,
     restrict_last_var,
@@ -647,9 +648,63 @@ def check_schur_symmetry(max_size: int, max_vars: int) -> Optional[str]:
         for lam in partitions_up_to(max_size):
             poly = schur(lam, n)
             try:
-                SymPolynomial(n, poly.terms, validate=True)
+                SymPolynomial(n, poly.terms)
             except ValueError as exc:
                 return f"lambda={lam}, n={n}: {exc}"
+    return None
+
+
+def _ssyt_rows(shape: tuple[int, ...], n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All semistandard fillings of the shape with entries in 1..n."""
+
+    def fill(row_idx: int, above: tuple[int, ...], acc: list[tuple[int, ...]]) -> Iterator:
+        if row_idx == len(shape):
+            yield tuple(acc)
+            return
+        width = shape[row_idx]
+
+        def build_row(col: int, row: list[int]) -> Iterator:
+            if col == width:
+                acc.append(tuple(row))
+                yield from fill(row_idx + 1, tuple(row), acc)
+                acc.pop()
+                return
+            lo = row[col - 1] if col else 1
+            if col < len(above):
+                lo = max(lo, above[col] + 1)
+            for val in range(lo, n + 1):
+                row.append(val)
+                yield from build_row(col + 1, row)
+                row.pop()
+
+        yield from build_row(0, [])
+
+    yield from fill(0, (), [])
+
+
+def _tableau_schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """s_shape(x_1..x_n) by counting semistandard tableaux per weight.
+
+    Exponential in the size; the independent oracle for the branching-rule
+    ``_schur_terms``, returning the same sorted (exponents, count) pairs.
+    """
+    counts: dict[tuple[int, ...], int] = {}
+    for tableau in _ssyt_rows(shape, n):
+        exps = [0] * n
+        for row in tableau:
+            for val in row:
+                exps[val - 1] += 1
+        key = tuple(exps)
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def check_schur_tableaux_agree(max_size: int, max_vars: int) -> Optional[str]:
+    """The branching-rule Schur terms equal the tableau counts, in order."""
+    for n in range(max_vars + 1):
+        for lam in partitions_up_to(max_size):
+            if _schur_terms(lam.parts, n) != _tableau_schur_terms(lam.parts, n):
+                return f"lambda={lam}, n={n}"
     return None
 
 
@@ -882,6 +937,12 @@ def _suite_characters(e: int, d: int, seed: int) -> list[SuiteResult]:
             lambda: check_pieri_matrix(e, size),
         ),
         _timed("characters", "symmetry", p, lambda: check_schur_symmetry(size, nv)),
+        _timed(
+            "characters",
+            "schur_tableaux_agree",
+            p,
+            lambda: check_schur_tableaux_agree(size, nv),
+        ),
         _timed(
             "characters",
             "jacobi_trudi",

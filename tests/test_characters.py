@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from conftest import partition_strategy
 from fockspace.characters import (
     SymPolynomial,
+    _schur_terms,
     branch_r1,
     complete_homogeneous,
     pieri_mult,
@@ -22,7 +23,12 @@ from fockspace.partitions import (
     remove_box,
     residue_window,
 )
-from fockspace.verify import pieri_matrix
+from fockspace.verify import (
+    _tableau_schur_terms,
+    check_schur_tableaux_agree,
+    pieri_matrix,
+    run_verify,
+)
 
 P = Partition
 
@@ -86,6 +92,30 @@ def test_schur_stability_under_restriction():
                 assert restrict_last_var(schur(lam, n)) == schur(lam, n - 1)
 
 
+def test_branching_rule_equals_tableau_enumeration():
+    for n in range(8):
+        for lam in partitions_up_to(7):
+            assert _schur_terms(lam.parts, n) == _tableau_schur_terms(lam.parts, n)
+
+
+@pytest.mark.parametrize("e", [0, 2, 3, 5])
+def test_characters_suite_checks_the_branching_rule(e):
+    report = run_verify("characters", e, 8)
+    (result,) = [r for r in report.results if r.name == "schur_tableaux_agree"]
+    assert result.passed and result.params == {"max_size": 6, "max_vars": 4}
+
+
+def test_schur_tableaux_agree_catches_a_dropped_term(monkeypatch):
+    import fockspace.verify as verify_module
+
+    def drop_second_term(shape, n):
+        terms = _schur_terms(shape, n)
+        return terms[:1] + terms[2:]
+
+    monkeypatch.setattr(verify_module, "_schur_terms", drop_second_term)
+    assert check_schur_tableaux_agree(4, 4) == "lambda=[1], n=2"
+
+
 def test_schur_matches_jacobi_trudi():
     for n in range(5):
         for lam in partitions_up_to(5):
@@ -138,7 +168,7 @@ def test_pieri_matrix_equals_total_f_matrix(e):
 @given(partition_strategy(max_size=5), st.integers(min_value=1, max_value=4))
 def test_schur_is_symmetric(lam, n):
     poly = schur(lam, n)
-    SymPolynomial(n, poly.terms, validate=True)
+    SymPolynomial(n, poly.terms)
 
 
 def hook_content_count(p, n):
@@ -160,14 +190,14 @@ def hook_content_count(p, n):
 
 
 def test_tableau_counts_match_hook_content_formula():
-    for n in range(5):
-        for lam in partitions_up_to(6):
+    for n in range(9):
+        for lam in partitions_up_to(8):
             assert sum(schur(lam, n).terms.values()) == hook_content_count(lam, n)
 
 
 def test_product_of_schurs_is_symmetric():
     prod = schur(P((2, 1)), 3) * schur(P((1, 1)), 3)
-    SymPolynomial(3, prod.terms, validate=True)
+    SymPolynomial(3, prod.terms)
     total = sum(c for c in prod.terms.values())
     # dimension bookkeeping: products of monomial counts match
     s21 = sum(schur(P((2, 1)), 3).terms.values())

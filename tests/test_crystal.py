@@ -16,7 +16,15 @@ from fockspace.crystal import (
 )
 from fockspace.crystal import phi as phi_count
 from fockspace.fock import apply_f, FockVector
-from fockspace.partitions import Box, Partition, n_value, partitions_up_to, residue_window
+from fockspace.partitions import (
+    Box,
+    Partition,
+    add_box,
+    n_value,
+    partitions_up_to,
+    remove_box,
+    residue_window,
+)
 
 P = Partition
 
@@ -30,6 +38,15 @@ def test_signature_examples():
     assert [b for _, b in signature(P((1,)), 1, 2).symbols] == [Box(2, 1), Box(1, 2)]
     assert signature(P((2,)), 1, 2).word == "+-"
     assert signature(P(), 0, 2).word == "+"
+
+
+@pytest.mark.parametrize("e", [0, 2, 3, 5])
+def test_crystal_operators_equal_the_checked_box_edits(e):
+    for lam in partitions_up_to(10):
+        for i in residue_window(e, 11):
+            good, cogood = good_box(lam, i, e), cogood_box(lam, i, e)
+            assert e_tilde(lam, i, e) == (None if good is None else remove_box(lam, good))
+            assert f_tilde(lam, i, e) == (None if cogood is None else add_box(lam, cogood))
 
 
 def test_reduced_signature_examples():
