@@ -251,7 +251,11 @@ def restrict_last_var(f: SymPolynomial) -> SymPolynomial:
 
 
 def schur_expand(f: SymPolynomial) -> dict[Partition, int]:
-    """Expand a symmetric polynomial in the Schur basis (greedy subtraction)."""
+    """Expand a symmetric polynomial in the Schur basis (greedy subtraction).
+
+    Raises ``ArithmeticError`` when subtracting s_shape leaves its own
+    leading term behind, which only a wrong Schur engine can cause.
+    """
     coeffs: dict[Partition, int] = {}
     remaining = dict(f.terms)
     while remaining:
@@ -267,6 +271,8 @@ def schur_expand(f: SymPolynomial) -> dict[Partition, int]:
                 remaining[exps] = left
             else:
                 del remaining[exps]
+        if lead in remaining:
+            raise ArithmeticError(f"s_{list(shape)} does not cancel its leading term {lead}")
     return coeffs
 
 

@@ -1,10 +1,11 @@
 """Property suites behind the ``verify`` command.
 
 Every check sweeps an exhaustive parameter range and returns either None
-(pass) or a string describing the first counterexample found.  The suites
-bundle related checks; the acceptance tests drive the same check functions
-at their own parameter ranges, so there is exactly one implementation of
-each property.
+(pass) or a string describing the first counterexample found.  The
+``CHECKS`` registry groups the checks into suites and states each one's
+parameters once; the acceptance tests drive the same check functions at
+their own parameter ranges, so there is exactly one implementation of each
+property.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .blocks import blocks
 from .casimir import casimir_scalar, x_eigenvalue, y_eigenvalue
@@ -370,14 +371,14 @@ def check_weight_iff_core(e: int, max_degree: int) -> Optional[str]:
     return None
 
 
-def check_zero_modulus_blocks(max_degree: int) -> Optional[str]:
-    """For e = 0 blocks are singletons and the weight map is injective."""
+def check_zero_modulus_blocks(e: int, max_degree: int) -> Optional[str]:
+    """Blocks are singletons and the weight map is injective (true for e = 0)."""
     for d in range(max_degree + 1):
-        for block in blocks(d, 0):
+        for block in blocks(d, e):
             if len(block.members) != 1:
                 return f"block of core {block.core} has {len(block.members)} members, d={d}"
         layer = partitions_of(d)
-        weights = [weight(p, 0) for p in layer]
+        weights = [weight(p, e) for p in layer]
         if len(set(weights)) != len(layer):
             return f"weight map not injective on degree {d}"
     return None
@@ -751,13 +752,13 @@ def check_hecke_associativity(max_rank: int, trials: int, seed: int) -> Optional
     return None
 
 
-def check_reduced_word_independence() -> Optional[str]:
-    """All reduced words of each w in S_3 straighten w*y^a identically."""
-    for perm in permutations((1, 2, 3)):
+def check_reduced_word_independence(rank: int) -> Optional[str]:
+    """All reduced words of each w in S_rank straighten w*y^a identically, a_k < 3."""
+    for perm in permutations(range(1, rank + 1)):
         words = list(all_reduced_words(perm))
-        for exps in product(range(3), repeat=3):
+        for exps in product(range(3), repeat=rank):
             outcomes = {
-                straighten_word_times_poly(word, exps, 3) for word in words
+                straighten_word_times_poly(word, exps, rank) for word in words
             }
             if len(outcomes) != 1:
                 return f"w={perm}, exps={exps}"
@@ -849,157 +850,119 @@ class VerifyReport:
         }
 
 
-def _timed(suite: str, name: str, params: dict, fn: Callable[[], Optional[str]]) -> SuiteResult:
-    start = time.perf_counter()
-    counterexample = fn()
-    elapsed = time.perf_counter() - start
-    return SuiteResult(suite, name, params, counterexample is None, counterexample, elapsed)
 
 
-def _suite_kacmoody(e: int, d: int, seed: int) -> list[SuiteResult]:
-    ed = {"modulus": e, "max_size": d}
-    return [
-        _timed("kacmoody", "commutator", ed, lambda: check_commutators(e, d)),
-        _timed("kacmoody", "weight_ladder", ed, lambda: check_weight_ladder(e, d)),
-        _timed("kacmoody", "cartan_pairing", ed, lambda: check_cartan_pairing(e, d)),
-        _timed("kacmoody", "matrix_transpose", ed, lambda: check_matrix_transpose(e, min(d, 6))),
-        _timed("kacmoody", "integrability", ed, lambda: check_integrability(e, d)),
-        _timed("kacmoody", "residue_partition", ed, lambda: check_residue_partition(e, d)),
-    ]
+class Check(NamedTuple):
+    """One registry entry.
+
+    The report shows ``params(e, d, seed)`` and the check runs on exactly
+    its values, in order, so the two cannot disagree.  It runs only at the
+    moduli e for which ``applies(e)`` holds.
+    """
+
+    suite: str
+    name: str
+    run: Callable[..., Optional[str]]
+    params: Callable[[int, int, int], dict]
+    applies: Callable[[int], bool] = lambda e: True
 
 
-def _suite_serre(e: int, d: int, seed: int) -> list[SuiteResult]:
-    ed = {"modulus": e, "max_size": d}
-    return [
-        _timed("serre", "cartan_action", ed, lambda: check_cartan_action(e, d)),
-        _timed("serre", "serre_relation", ed, lambda: check_serre(e, d)),
-    ]
+def _modulus_size(e: int, d: int, seed: int) -> dict:
+    return {"modulus": e, "max_size": d}
 
 
-def _suite_crystal(e: int, d: int, seed: int) -> list[SuiteResult]:
-    ed = {"modulus": e, "max_size": d}
-    return [
-        _timed("crystal", "partial_inverse", ed, lambda: check_partial_inverse(e, d)),
-        _timed("crystal", "string_lengths", ed, lambda: check_string_lengths(e, d)),
-        _timed("crystal", "weight_compat", ed, lambda: check_weight_compat(e, d)),
-        _timed("crystal", "confluence", {"max_len": 10}, lambda: check_confluence(10)),
-        _timed("crystal", "socle_coherence", ed, lambda: check_socle_coherence(e, d)),
-        _timed("crystal", "connectivity", ed, lambda: check_connectivity(e, d)),
-        _timed("crystal", "addable_monotone", ed, lambda: check_addable_monotone(e, d)),
-        _timed("crystal", "box_counts", {"max_size": d}, lambda: check_box_counts(d)),
-    ]
+def _modulus_degree(e: int, d: int, seed: int) -> dict:
+    return {"modulus": e, "max_degree": d}
 
 
-def _suite_blocks(e: int, d: int, seed: int) -> list[SuiteResult]:
-    ed = {"modulus": e, "max_degree": d}
-    out = [
-        _timed("blocks", "weight_iff_core", ed, lambda: check_weight_iff_core(e, d)),
-        _timed("blocks", "sizes_sum", ed, lambda: check_block_sizes(e, d)),
-        _timed("blocks", "p_weight_constant", ed, lambda: check_block_p_weights(e, d)),
-        _timed("blocks", "core_well_defined", ed, lambda: check_core_well_defined(e, min(d, 8))),
-        _timed("blocks", "core_beta_agree", ed, lambda: check_core_beta_agree(e, d)),
-        _timed(
-            "blocks",
-            "rim_hooks_agree",
-            {"modulus": e, "max_size": min(d, 10)},
-            lambda: check_rim_hooks_agree(e, min(d, 10)),
-        ),
-    ]
-    if e == 0:
-        out.append(
-            _timed("blocks", "singleton_blocks", ed, lambda: check_zero_modulus_blocks(d))
-        )
-    return out
+def _size(e: int, d: int, seed: int) -> dict:
+    return {"max_size": d}
 
 
-def _suite_casimir(e: int, d: int, seed: int) -> list[SuiteResult]:
-    ed = {"modulus": e, "max_size": d}
-    return [
-        _timed("casimir", "branching_identity", {"max_size": d}, lambda: check_casimir_branching(d)),
-        _timed("casimir", "eigenvalue_contents", ed, lambda: check_eigenvalue_contents(e, d)),
-        _timed("casimir", "n_independence", ed, lambda: check_eigenvalue_n_independence(e, d)),
-        _timed("casimir", "zero_padding", {"max_size": d}, lambda: check_casimir_padding(d)),
-    ]
+def _shapes(e: int, d: int, seed: int) -> dict:
+    return {"max_size": min(d, 6), "max_vars": 4}
 
 
-def _suite_characters(e: int, d: int, seed: int) -> list[SuiteResult]:
-    size = min(d, 6)
-    nv = 4
-    p = {"max_size": size, "max_vars": nv}
-    return [
-        _timed("characters", "schur_stability", p, lambda: check_schur_stability(size, nv)),
-        _timed("characters", "branch_coherence", p, lambda: check_branch_coherence(size, nv)),
-        _timed("characters", "pieri_coherence", p, lambda: check_pieri_coherence(size, nv)),
-        _timed(
-            "characters",
-            "pieri_matrix",
-            {"modulus": e, "max_degree": size},
-            lambda: check_pieri_matrix(e, size),
-        ),
-        _timed("characters", "symmetry", p, lambda: check_schur_symmetry(size, nv)),
-        _timed(
-            "characters",
-            "schur_tableaux_agree",
-            p,
-            lambda: check_schur_tableaux_agree(size, nv),
-        ),
-        _timed(
-            "characters",
-            "jacobi_trudi",
-            {"max_size": min(size, 5), "max_vars": nv},
-            lambda: check_jacobi_trudi(min(size, 5), nv),
-        ),
-    ]
+def _seed(e: int, d: int, seed: int) -> dict:
+    return {"seed": seed}
 
 
-def _suite_hecke(e: int, d: int, seed: int) -> list[SuiteResult]:
-    return [
-        _timed("hecke", "relations", {"max_rank": 4}, lambda: check_hecke_relations(4)),
-        _timed(
-            "hecke",
-            "associativity",
-            {"max_rank": 4, "trials": 120, "seed": seed},
-            lambda: check_hecke_associativity(4, 120, seed),
-        ),
-        _timed(
-            "hecke",
-            "reduced_word_independence",
-            {"rank": 3},
-            lambda: check_reduced_word_independence(),
-        ),
-        _timed("hecke", "filtration_degree", {"seed": seed}, lambda: check_filtration_degree(seed)),
-        _timed(
-            "hecke",
-            "subalgebra_embedding",
-            {"seed": seed},
-            lambda: check_subalgebra_embedding(seed),
-        ),
-    ]
+# Grouped by suite in name order, which is the order of the report.
+CHECKS: tuple[Check, ...] = (
+    Check("blocks", "weight_iff_core", check_weight_iff_core, _modulus_degree),
+    Check("blocks", "sizes_sum", check_block_sizes, _modulus_degree),
+    Check("blocks", "p_weight_constant", check_block_p_weights, _modulus_degree),
+    Check("blocks", "core_well_defined", check_core_well_defined,
+          lambda e, d, seed: {"modulus": e, "max_degree": min(d, 8)}),
+    Check("blocks", "core_beta_agree", check_core_beta_agree, _modulus_degree),
+    Check("blocks", "rim_hooks_agree", check_rim_hooks_agree,
+          lambda e, d, seed: {"modulus": e, "max_size": min(d, 10)}),
+    Check("blocks", "singleton_blocks", check_zero_modulus_blocks, _modulus_degree,
+          applies=lambda e: e == 0),
+    Check("casimir", "branching_identity", check_casimir_branching, _size),
+    Check("casimir", "eigenvalue_contents", check_eigenvalue_contents, _modulus_size),
+    Check("casimir", "n_independence", check_eigenvalue_n_independence, _modulus_size),
+    Check("casimir", "zero_padding", check_casimir_padding, _size),
+    Check("characters", "schur_stability", check_schur_stability, _shapes),
+    Check("characters", "branch_coherence", check_branch_coherence, _shapes),
+    Check("characters", "pieri_coherence", check_pieri_coherence, _shapes),
+    Check("characters", "pieri_matrix", check_pieri_matrix,
+          lambda e, d, seed: {"modulus": e, "max_degree": min(d, 6)}),
+    Check("characters", "symmetry", check_schur_symmetry, _shapes),
+    Check("characters", "schur_tableaux_agree", check_schur_tableaux_agree, _shapes),
+    Check("characters", "jacobi_trudi", check_jacobi_trudi,
+          lambda e, d, seed: {"max_size": min(d, 5), "max_vars": 4}),
+    Check("crystal", "partial_inverse", check_partial_inverse, _modulus_size),
+    Check("crystal", "string_lengths", check_string_lengths, _modulus_size),
+    Check("crystal", "weight_compat", check_weight_compat, _modulus_size),
+    Check("crystal", "confluence", check_confluence, lambda e, d, seed: {"max_len": 10}),
+    Check("crystal", "socle_coherence", check_socle_coherence, _modulus_size),
+    Check("crystal", "connectivity", check_connectivity, _modulus_size),
+    Check("crystal", "addable_monotone", check_addable_monotone, _modulus_size),
+    Check("crystal", "box_counts", check_box_counts, _size),
+    Check("hecke", "relations", check_hecke_relations, lambda e, d, seed: {"max_rank": 4}),
+    Check("hecke", "associativity", check_hecke_associativity,
+          lambda e, d, seed: {"max_rank": 4, "trials": 120, "seed": seed}),
+    Check("hecke", "reduced_word_independence", check_reduced_word_independence,
+          lambda e, d, seed: {"rank": 3}),
+    Check("hecke", "filtration_degree", check_filtration_degree, _seed),
+    Check("hecke", "subalgebra_embedding", check_subalgebra_embedding, _seed),
+    Check("kacmoody", "commutator", check_commutators, _modulus_size),
+    Check("kacmoody", "weight_ladder", check_weight_ladder, _modulus_size),
+    Check("kacmoody", "cartan_pairing", check_cartan_pairing, _modulus_size),
+    Check("kacmoody", "matrix_transpose", check_matrix_transpose,
+          lambda e, d, seed: {"modulus": e, "max_size": min(d, 6)}),
+    Check("kacmoody", "integrability", check_integrability, _modulus_size),
+    Check("kacmoody", "residue_partition", check_residue_partition, _modulus_size),
+    Check("serre", "cartan_action", check_cartan_action, _modulus_size),
+    Check("serre", "serre_relation", check_serre, _modulus_size),
+)
 
-
-SUITES: dict[str, Callable[[int, int, int], list[SuiteResult]]] = {
-    "blocks": _suite_blocks,
-    "casimir": _suite_casimir,
-    "characters": _suite_characters,
-    "crystal": _suite_crystal,
-    "hecke": _suite_hecke,
-    "kacmoody": _suite_kacmoody,
-    "serre": _suite_serre,
-}
+SUITES: tuple[str, ...] = tuple(sorted({check.suite for check in CHECKS}))
 
 
 def run_verify(suite: str, e: int, d: int, seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Run one named suite, or all of them in fixed name order."""
+    """Run one named suite, or all of them in fixed name order.
+
+    An ``ArithmeticError`` inside a check is that check's failure, with the
+    message as the counterexample.
+    """
     check_modulus(e)
     if d < 0:
         raise ValueError(f"max size must be >= 0, got {d}")
-    if suite == "all":
-        names = sorted(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES) + ['all']}")
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {[*SUITES, 'all']}")
     results: list[SuiteResult] = []
-    for name in names:
-        results.extend(SUITES[name](e, d, seed))
+    for check in CHECKS:
+        if suite not in ("all", check.suite) or not check.applies(e):
+            continue
+        params = check.params(e, d, seed)
+        start = time.perf_counter()
+        try:
+            counterexample = check.run(*params.values())
+        except ArithmeticError as exc:
+            counterexample = str(exc)
+        elapsed = time.perf_counter() - start
+        passed = counterexample is None
+        results.append(SuiteResult(check.suite, check.name, params, passed, counterexample, elapsed))
     return VerifyReport(modulus=e, max_size=d, seed=seed, results=tuple(results))

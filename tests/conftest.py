@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 from hypothesis import strategies as st
 
 from fockspace.partitions import Partition, partitions_up_to
@@ -24,3 +27,19 @@ def partitions_of_size(draw, size: int) -> Partition:
 def large_partition_strategy(max_size: int = 500):
     """Partitions of any size up to ``max_size``, far past the exhaustive sweeps."""
     return st.integers(0, max_size).flatmap(partitions_of_size)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` in the block after ``seconds``, so a hang fails instead."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -118,7 +118,7 @@ def test_criterion_7_hecke_algebra():
                 "associativity on 120 seeded triples",
                 lambda: check_hecke_associativity(4, 120, DEFAULT_SEED),
             ),
-            ("reduced words of S_3", check_reduced_word_independence),
+            ("reduced words of S_3", lambda: check_reduced_word_independence(3)),
         ],
     )
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import partition_strategy
+from conftest import deadline, partition_strategy
 from fockspace.characters import (
     SymPolynomial,
     _schur_terms,
@@ -134,6 +134,19 @@ def test_schur_expand_roundtrip():
     poly = schur(P((2, 1)), 3) + 2 * schur(P((3,)), 3)
     assert schur_expand(poly) == {P((3,)): 2, P((2, 1)): 1}
     assert schur_expand(SymPolynomial.zero(3)) == {}
+
+
+def test_schur_expand_rejects_an_uncancelled_leading_term(monkeypatch):
+    import fockspace.characters as characters_module
+
+    product = schur(P((1,)), 3) * schur(P((2, 1)), 3)
+    monkeypatch.setattr(
+        characters_module, "_schur_terms", lambda shape, n: _schur_terms(shape, n)[:-1]
+    )
+    with deadline(30), pytest.raises(
+        ArithmeticError, match=r"^s_\[3, 1\] does not cancel its leading term \(3, 1, 0\)$"
+    ):
+        schur_expand(product)
 
 
 def test_branch_matches_removable_boxes():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import deadline
 from fockspace.cli import main
 from fockspace.partitions import Partition
 
@@ -267,17 +268,27 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     def broken(e, d):
         return "synthetic counterexample"
 
-    monkeypatch.setitem(
-        verify_module.SUITES,
-        "crystal",
-        lambda e, d, seed: [
-            verify_module.SuiteResult(
-                "crystal", "synthetic", {}, False, "synthetic counterexample", 0.0
-            )
-        ],
+    synthetic = verify_module.Check(
+        "crystal", "synthetic", broken, lambda e, d, seed: {"modulus": e, "max_size": d}
     )
+    monkeypatch.setattr(verify_module, "CHECKS", (synthetic, *verify_module.CHECKS))
     code, out, _ = run_cli(capsys, "verify", "--modulus", "2", "--max-size", "2", "--suite", "crystal")
     assert code == 1
     obj = json.loads(out)
     assert obj["passed"] is False
     assert obj["results"][0]["counterexample"] == "synthetic counterexample"
+
+
+def test_verify_names_a_schur_expansion_that_does_not_cancel(monkeypatch, capsys):
+    import fockspace.characters as characters_module
+
+    original = characters_module._schur_terms
+    # drop the leading (largest) term of every Schur polynomial
+    monkeypatch.setattr(characters_module, "_schur_terms", lambda shape, n: original(shape, n)[:-1])
+    with deadline(30):
+        code, out, err = run_cli(capsys, "verify", "--modulus", "3", "--max-size", "4", "--suite", "characters")
+    assert code == 1 and err == ""
+    obj = json.loads(out)
+    assert obj["passed"] is False
+    found = {r["name"]: r["counterexample"] for r in obj["results"]}
+    assert found["branch_coherence"] == "s_[] does not cancel its leading term (0,)"

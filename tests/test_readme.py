@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 from fockspace import Block, Box, FockVector, Partition
+from fockspace.verify import CHECKS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,6 +12,17 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def _library_use_block() -> str:
     section = README.read_text().split("## Library use", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _verify_suite_paragraphs() -> dict[str, str]:
+    """Map each suite to its "The `suite` suite runs ..." paragraph."""
+    section = README.read_text().split("### Verify suites", 1)[1].split("\n## ", 1)[0]
+    paragraphs = [" ".join(block.split()) for block in section.split("\n\n")]
+    return {
+        paragraph.split("`")[1]: paragraph
+        for paragraph in paragraphs
+        if paragraph.startswith("The `") and " suite runs" in paragraph
+    }
 
 
 def _run_block(block: str) -> dict[str, object]:
@@ -43,3 +55,13 @@ def test_library_use_block_states_true_values():
     assert all(len({b.p_weight for b in cls}) == 1 for cls in classes)
     assert sorted(b.p_weight for cls in classes for b in cls) == sorted(b["p_weight"] for b in layer)
     assert values["crystal_graph(2, 4).dot()"].startswith("digraph crystal {")
+
+
+def test_verify_suites_section_lists_every_check():
+    paragraphs = _verify_suite_paragraphs()
+    missing = [
+        (check.suite, check.name)
+        for check in CHECKS
+        if f"`{check.name}`" not in paragraphs.get(check.suite, "")
+    ]
+    assert not missing, missing

@@ -1,14 +1,19 @@
+import inspect
 import json
 
 import pytest
 
+import fockspace.verify as verify_module
 from fockspace.verify import (
+    CHECKS,
     DEFAULT_SEED,
     SUITES,
     check_confluence,
     check_connectivity,
     check_core_well_defined,
+    check_reduced_word_independence,
     check_rim_hooks_agree,
+    check_zero_modulus_blocks,
     run_verify,
 )
 
@@ -27,6 +32,7 @@ def test_run_all_collects_every_suite():
     # report order is fixed by suite name
     suites_in_order = [r.suite for r in report.results]
     assert suites_in_order == sorted(suites_in_order)
+    assert len({(r.suite, r.name) for r in report.results}) == len(report.results)
     assert report.passed
 
 
@@ -81,10 +87,65 @@ def test_blocks_suite_checks_the_abacus_rim_hooks():
 
 
 def test_rim_hooks_agree_catches_a_wrong_rim_order(monkeypatch):
-    import fockspace.verify as verify_module
-
     original = verify_module.removable_rim_hooks
     monkeypatch.setattr(
         verify_module, "removable_rim_hooks", lambda p, length: original(p, length)[::-1]
     )
     assert check_rim_hooks_agree(2, 4) == "lambda=[2,2], length=2"
+
+
+def _spy_on_checks(monkeypatch) -> list[tuple[str, str, tuple]]:
+    """Swap every registry check for a passing spy; return the calls it sees."""
+    calls: list[tuple[str, str, tuple]] = []
+
+    def spy(check):
+        def record(*args):
+            calls.append((check.suite, check.name, args))
+
+        return record
+
+    monkeypatch.setattr(
+        verify_module, "CHECKS", tuple(check._replace(run=spy(check)) for check in CHECKS)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("e", [0, 3])
+@pytest.mark.parametrize("d", [6, 10])
+def test_each_check_runs_at_the_params_it_reports(monkeypatch, suite, e, d):
+    calls = _spy_on_checks(monkeypatch)
+    report = run_verify(suite, e, d, DEFAULT_SEED)
+    assert calls and report.passed
+    assert calls == [(r.suite, r.name, tuple(r.params.values())) for r in report.results]
+    # the real check is a public check function, not a wrapper that could
+    # change the values, and it accepts exactly those arguments
+    for check in CHECKS:
+        if check.suite == suite:
+            assert getattr(verify_module, check.run.__name__) is check.run
+            assert check.run.__name__.startswith("check_")
+            inspect.signature(check.run).bind(*check.params(e, d, DEFAULT_SEED).values())
+
+
+def test_clamped_sizes_are_reported_as_run(monkeypatch):
+    calls = _spy_on_checks(monkeypatch)
+    kacmoody = {r.name: r.params for r in run_verify("kacmoody", 3, 8).results}
+    assert kacmoody["matrix_transpose"] == {"modulus": 3, "max_size": 6}
+    blocks = {r.name: r.params for r in run_verify("blocks", 3, 10).results}
+    assert blocks["core_well_defined"] == {"modulus": 3, "max_degree": 8}
+    assert ("kacmoody", "matrix_transpose", (3, 6)) in calls
+    assert ("blocks", "core_well_defined", (3, 8)) in calls
+
+
+def test_singleton_blocks_runs_only_at_modulus_zero():
+    for e in (0, 2, 3, 5):
+        names = [r.name for r in run_verify("blocks", e, 3).results]
+        assert ("singleton_blocks" in names) == (e == 0)
+    # the check itself takes the modulus its params state
+    assert check_zero_modulus_blocks(0, 6) is None
+    assert check_zero_modulus_blocks(3, 6) == "block of core [] has 3 members, d=3"
+
+
+def test_reduced_word_independence_takes_its_rank():
+    for rank in (1, 2, 3):
+        assert check_reduced_word_independence(rank) is None
