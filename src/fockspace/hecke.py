@@ -276,6 +276,8 @@ def verify_relations(n: int) -> dict[str, bool]:
 
 
 def _tokenize(expr: str) -> list[tuple[str, str]]:
+    if bad := [ch for ch in expr if not (ch.isspace() or ch in "0123456789yt+-*()")]:
+        raise ValueError(f"unexpected character {bad[0]!r} in expression")
     tokens: list[tuple[str, str]] = []
     k = 0
     while k < len(expr):
@@ -299,11 +301,9 @@ def _tokenize(expr: str) -> list[tuple[str, str]]:
         elif ch in "+-*":
             tokens.append(("op", ch))
             k += 1
-        elif ch in "()":
+        else:
             tokens.append(("paren", ch))
             k += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in expression")
     return tokens
 
 

@@ -45,8 +45,10 @@ class Partition:
         for token in inner.split(","):
             token = token.strip()
             try:
+                if not (token.isascii() and token.removeprefix("-").isdigit()):
+                    raise ValueError(token)
                 parts.append(int(token))
-            except ValueError:
+            except ValueError:  # also int()'s limit on the number of digits
                 raise ValueError(f"bad partition entry {token!r} in {text!r}") from None
         return cls(parts)
 
@@ -288,42 +290,35 @@ def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box],
 def core_and_weight(p: Partition, e: int) -> tuple[Partition, int]:
     """The e-core of p and the number of rim e-hooks removed to reach it.
 
-    Hooks are removed greedily, first hook in rim order.  For e == 0 every
-    partition is its own core, reached after removing no hook.
+    On the abacus (James-Kerber, 1981, 2.7) row j holds the bead b_j = p_j + k - 1 - j,
+    on runner b_j mod e at level b_j // e.  Each hook removed moves a bead one
+    level down its runner, so the core has each runner's m beads at levels
+    m-1 .. 0 and the weight is the total drop: one sort of the rows, whatever e.
+    Checked: |p| = |core| + e * weight, and the core has no rim e-hook left.
+    For e == 0 every partition is its own core, reached after removing no hook.
     """
     check_modulus(e)
-    core, hooks_removed = p, 0
-    while e and (hooks := removable_rim_hooks(core, e)):
-        core, hooks_removed = hooks[0][1], hooks_removed + 1
+    if not e:
+        return p, 0
+    k = len(p.parts)
+    top, slid, hooks_removed = {}, [], 0  # top: runner -> level of its last slid bead
+    for j in range(k - 1, -1, -1):  # smallest bead first, so it takes the lowest free level
+        level, runner = divmod(p.parts[j] + k - 1 - j, e)
+        top[runner] = free = top.get(runner, -1) + 1
+        slid.append(runner + e * free)
+        hooks_removed += level - free
+    slid.sort(reverse=True)
+    core = Partition([x for x in (b - (k - 1 - j) for j, b in enumerate(slid)) if x])
     if p.size != core.size + e * hooks_removed:
         raise ArithmeticError(f"|{p}| != |{core}| + {e} * {hooks_removed}")
+    if removable_rim_hooks(core, e):
+        raise ArithmeticError(f"core {core} of {p} still has a rim {e}-hook")
     return core, hooks_removed
 
 
 def p_core(p: Partition, e: int) -> Partition:
     """The e-core of p; for e == 0 every partition is its own core."""
     return core_and_weight(p, e)[0]
-
-
-def p_core_beta(p: Partition, e: int) -> Partition:
-    """Core via beta-numbers: slide the abacus beads down each runner.
-
-    Independent of the greedy removal path; used to cross-check p_core.
-    """
-    check_modulus(e)
-    if e == 0 or not p.parts:
-        return p
-    k = len(p.parts)
-    betas = [p.parts[j] + (k - 1 - j) for j in range(k)]
-    runners: dict[int, int] = {}
-    for b in betas:
-        runners[b % e] = runners.get(b % e, 0) + 1
-    new_betas = sorted(
-        (r + e * pos for r, count in runners.items() for pos in range(count)),
-        reverse=True,
-    )
-    parts = [b - (k - 1 - j) for j, b in enumerate(new_betas)]
-    return Partition([x for x in parts if x > 0])
 
 
 def p_weight(p: Partition, e: int) -> int:

@@ -61,12 +61,11 @@ from .partitions import (
     add_box,
     check_modulus,
     content,
+    core_and_weight,
     i_corners,
     m_count,
     n_value,
     p_core,
-    p_core_beta,
-    p_weight,
     partitions_of,
     partitions_up_to,
     removable_boxes,
@@ -393,13 +392,13 @@ def check_block_sizes(e: int, max_degree: int) -> Optional[str]:
 
 
 def check_block_p_weights(e: int, max_degree: int) -> Optional[str]:
-    """Each member's own hook-removal count matches its block's p-weight."""
+    """Each member's greedy hook-removal count matches its block's p-weight."""
     if e == 0:
         return None
     for d in range(max_degree + 1):
         for block in blocks(d, e):
             for member in block.members:
-                if p_weight(member, e) != block.p_weight:
+                if _greedy_core_and_weight(member, e)[1] != block.p_weight:
                     return f"member={member}, block core={block.core}, e={e}"
     return None
 
@@ -508,10 +507,18 @@ def check_rim_hooks_agree(e: int, max_size: int) -> Optional[str]:
     return None
 
 
+def _greedy_core_and_weight(p: Partition, e: int) -> tuple[Partition, int]:
+    """The oracle for ``core_and_weight``: remove the first rim e-hook until none is left."""
+    core, hooks_removed = p, 0
+    while e and (hooks := removable_rim_hooks(core, e)):
+        core, hooks_removed = hooks[0][1], hooks_removed + 1
+    return core, hooks_removed
+
+
 def check_core_beta_agree(e: int, max_size: int) -> Optional[str]:
-    """Greedy removal agrees with the bead-sliding construction."""
+    """The bead-sliding core and weight agree with greedy hook removal."""
     for lam in partitions_up_to(max_size):
-        if p_core(lam, e) != p_core_beta(lam, e):
+        if core_and_weight(lam, e) != _greedy_core_and_weight(lam, e):
             return f"lambda={lam}, e={e}"
     return None
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import deadline
 from fockspace.cli import main
-from fockspace.partitions import Partition
+from fockspace.partitions import Partition, partitions_of
 
 
 def run_cli(capsys, *args):
@@ -39,8 +39,8 @@ def test_core_command_removes_each_hook_once(monkeypatch, capsys):
     monkeypatch.setattr(partitions_module, "removable_rim_hooks", counting)
     code, out, _ = run_cli(capsys, "core", "--modulus", "2", "--partition", "[2,1,1]")
     assert code == 0 and json.loads(out)["p_weight"] == 2
-    # one search per removed hook, plus the one that finds none left
-    assert len(calls) == 2 + 1
+    # the abacus removes the hooks without a search; one search checks the core
+    assert calls == [Partition()]
 
 
 def test_core_command_on_a_size_156_staircase(capsys):
@@ -48,6 +48,33 @@ def test_core_command_on_a_size_156_staircase(capsys):
     code, out, _ = run_cli(capsys, "core", "--modulus", "2", "--partition", staircase)
     assert code == 0
     assert json.loads(out) == {"core": "[]", "p_weight": 78}
+
+
+@pytest.mark.parametrize(
+    "modulus, partition, weight",
+    [
+        ("3", "[99999999999999999999999]", 33333333333333333333333),
+        ("2", "[" + ",".join(["1"] * 5000) + "]", 2500),
+    ],
+    ids=["row_of_10**23-1_mod_3", "column_of_5000_mod_2"],
+)
+def test_core_command_answers_at_once_whatever_the_weight(capsys, modulus, partition, weight):
+    with deadline(10):
+        code, out, _ = run_cli(capsys, "core", "--modulus", modulus, "--partition", partition)
+    assert code == 0
+    assert out == json.dumps({"core": "[]", "p_weight": weight}) + "\n"
+
+
+def test_core_and_blocks_answer_at_once_whatever_the_modulus(capsys):
+    modulus = str(10**12)
+    with deadline(10):
+        core = run_cli(capsys, "core", "--modulus", modulus, "--partition", "[4,4,2,1]")
+        code, out, _ = run_cli(capsys, "blocks", "--modulus", modulus, "--degree", "5")
+    assert core[:2] == (0, json.dumps({"core": "[4,4,2,1]", "p_weight": 0}) + "\n")
+    assert code == 0
+    layer = json.loads(out)["blocks"]
+    assert [block["core"] for block in layer] == [str(lam) for lam in partitions_of(5)]
+    assert all(block["p_weight"] == 0 for block in layer)
 
 
 @pytest.mark.parametrize(
@@ -181,6 +208,20 @@ def test_hecke_deep_nesting_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "hecke", "normal-form", "--rank", "2", "--expr", expr)
     assert code == 2 and out == ""
     assert err == "error: expression nests deeper than 100 levels\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("hecke", "normal-form", "--rank", "2", "--expr", "y²"),
+         "unexpected character '²' in expression"),
+        (("core", "--modulus", "2", "--partition", "[１２]"),
+         "bad partition entry '１２' in '[１２]'"),
+    ],
+)
+def test_non_ascii_digits_are_a_usage_error(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_command_passes(capsys):

@@ -183,6 +183,13 @@ def test_parse_expression_errors(bad):
         parse_expression(bad, 2)
 
 
+@pytest.mark.parametrize("bad", ["y²", "2² * y1", "y1 + ３", "t١"])
+def test_parse_expression_reads_only_ascii_digits(bad):
+    (ch,) = [c for c in bad if c.isdigit() and not c.isascii()]
+    with pytest.raises(ValueError, match=f"unexpected character '{ch}'"):
+        parse_expression(bad, 2)
+
+
 def test_parse_expression_nesting_bound():
     y, _ = gens(2)
     deepest = "(" * MAX_NESTING + "y1" + ")" * MAX_NESTING

@@ -20,7 +20,6 @@ from fockspace.partitions import (
     m_count,
     n_value,
     p_core,
-    p_core_beta,
     p_weight,
     partitions_of,
     partitions_up_to,
@@ -32,7 +31,7 @@ from fockspace.partitions import (
     residue_window,
     rim_corners,
 )
-from fockspace.verify import _brute_force_rim_hooks
+from fockspace.verify import _brute_force_rim_hooks, _greedy_core_and_weight
 
 
 def test_partition_validation():
@@ -56,6 +55,18 @@ def test_parse_and_str_roundtrip():
         Partition.parse("[4,x]")
     with pytest.raises(ValueError):
         Partition.parse("[1,2]")
+
+
+@pytest.mark.parametrize("token", ["１２", "1_0", "+3", "٣", "²"])
+def test_parse_accepts_only_ascii_digits(token):
+    text = f"[{token}]"
+    with pytest.raises(ValueError, match=re.escape(f"bad partition entry {token!r} in {text!r}")):
+        Partition.parse(text)
+
+
+def test_parse_names_an_entry_too_long_for_int():
+    with pytest.raises(ValueError, match="^bad partition entry '9999"):
+        Partition.parse("[" + "9" * 4400 + "]")
 
 
 def test_content_examples():
@@ -251,14 +262,14 @@ def test_p_weight_examples():
 @pytest.mark.parametrize("e", [2, 3, 5])
 def test_core_greedy_matches_beta_numbers(e):
     for lam in partitions_up_to(8):
-        assert p_core(lam, e) == p_core_beta(lam, e)
+        assert p_core(lam, e) == _greedy_core_and_weight(lam, e)[0]
 
 
 @pytest.mark.parametrize("e", [2, 3, 5])
 def test_core_and_weight_matches_beta_numbers(e):
     for lam in partitions_up_to(12):
         core, hooks_removed = core_and_weight(lam, e)
-        assert core == p_core_beta(lam, e)
+        assert (core, hooks_removed) == _greedy_core_and_weight(lam, e)
         assert lam.size == core.size + e * hooks_removed
 
 
@@ -266,21 +277,30 @@ def test_core_and_weight_matches_beta_numbers(e):
 @given(large_partition_strategy(500), st.sampled_from([2, 3, 5]))
 def test_core_and_weight_matches_beta_numbers_at_large_sizes(lam, e):
     core, hooks_removed = core_and_weight(lam, e)
-    assert core == p_core_beta(lam, e)
+    assert (core, hooks_removed) == _greedy_core_and_weight(lam, e)
     assert lam.size == core.size + e * hooks_removed
 
 
 def test_core_and_weight_rejects_an_inconsistent_removal(monkeypatch):
     import fockspace.partitions as partitions_module
 
-    # a "hook" that takes away three boxes when two were asked for
+    # a hook search that finds a 2-hook even on the slid core [1]
     monkeypatch.setattr(
         partitions_module,
         "removable_rim_hooks",
-        lambda p, length: [(frozenset(), Partition())] if p.parts else [],
+        lambda p, length: [(frozenset(), Partition())],
     )
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=r"core \[1\] of \[3\] still has a rim 2-hook"):
         core_and_weight(Partition((3,)), 2)
+
+
+def test_core_and_weight_rejects_a_core_of_the_wrong_size(monkeypatch):
+    import fockspace.partitions as partitions_module
+
+    # the core [1] of [4] mod 3 read off the beads with its first row lost
+    monkeypatch.setattr(partitions_module, "Partition", lambda parts: Partition(parts[1:]))
+    with pytest.raises(ArithmeticError, match=r"\|\[4\]\| != \|\[\]\| \+ 3 \* 1"):
+        core_and_weight(Partition((4,)), 3)
 
 
 def test_partitions_of_order_and_counts():
