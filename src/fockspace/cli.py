@@ -1,8 +1,14 @@
 """Command-line surface: one JSON-printing subcommand per operation.
 
+``COMMANDS`` describes every subcommand once.  A well-formed request is read
+straight from that table by ``_read_request``; anything else (help,
+``--profile``, abbreviated flags, mistakes) goes to the argparse tree that
+``_build_parser`` derives from the same table, which also prints every help
+text and usage error.
+
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
 errors (including malformed partition text, which is reported with the
-offending token).
+offending token), 3 on an internal error of the program.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .blocks import blocks, derived_equivalence_classes
 from .casimir import eigenvalue_table
@@ -25,80 +31,33 @@ from .verify import DEFAULT_SEED, SUITES, run_verify
 PROFILE_ROWS = 25
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fockspace",
-        description="Exact Fock-space combinatorics on partitions.",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=f"print the top {PROFILE_ROWS} cProfile rows of the request to stderr",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """One long flag; ``type`` converts its value as argparse's ``type=`` does.
 
-    crystal = sub.add_parser("crystal", help="crystal graph up to a size bound")
-    crystal.add_argument("--modulus", type=int, required=True)
-    crystal.add_argument("--max-size", type=int, required=True)
-    crystal.add_argument("--format", choices=("json", "dot"), default="json")
-    crystal.set_defaults(run=_run_crystal)
+    A flag whose ``type`` is None takes no value: it is a ``store_true`` switch.
+    """
 
-    fock = sub.add_parser("fock", help="Fock space operators")
-    fock_sub = fock.add_subparsers(dest="fock_command", required=True)
-    opm = fock_sub.add_parser("op-matrix", help="matrix of e_i, f_i or h_i on a graded piece")
-    opm.add_argument("--op", choices=("e", "f", "h"), required=True)
-    opm.add_argument("--residue", type=int, required=True)
-    opm.add_argument("--modulus", type=int, required=True)
-    opm.add_argument("--degree", type=int, required=True)
-    opm.add_argument("--format", choices=("json", "csv"), default="json")
-    opm.set_defaults(run=_run_op_matrix)
+    flag: str
+    type: Callable[[str], Any] | None
+    choices: Sequence[Any] | None = None
+    default: Any = None
+    required: bool = False
+    help: str | None = None
 
-    blocks_p = sub.add_parser("blocks", help="block decomposition of one degree layer")
-    blocks_p.add_argument("--modulus", type=int, required=True)
-    blocks_p.add_argument("--degree", type=int, required=True)
-    blocks_p.add_argument("--format", choices=("json",), default="json")
-    blocks_p.set_defaults(run=_run_blocks)
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
-    core = sub.add_parser("core", help="e-core and p-weight of a partition")
-    core.add_argument("--modulus", type=int, required=True)
-    core.add_argument("--partition", type=str, required=True)
-    core.set_defaults(run=_run_core)
 
-    casimir = sub.add_parser("casimir", help="Casimir scalar and box eigenvalues")
-    casimir.add_argument("--partition", type=str, required=True)
-    casimir.add_argument("--n", type=int, required=True)
-    casimir.add_argument("--modulus", type=int, default=0)
-    casimir.set_defaults(run=_run_casimir)
+class Command(NamedTuple):
+    """One subcommand path: its help line, its runner and its options.
 
-    branch = sub.add_parser("branch", help="one-box branching via Schur expansion")
-    branch.add_argument("--partition", type=str, required=True)
-    branch.add_argument("--n", type=int, required=True)
-    branch.set_defaults(run=_run_branch)
+    The root ``()`` and the groups ``fock`` and ``hecke`` have no runner.
+    """
 
-    pieri = sub.add_parser("pieri", help="multiply by the standard character and expand")
-    pieri.add_argument("--partition", type=str, required=True)
-    pieri.add_argument("--n", type=int, required=True)
-    pieri.set_defaults(run=_run_pieri)
-
-    hecke = sub.add_parser("hecke", help="degenerate affine Hecke algebra")
-    hecke_sub = hecke.add_subparsers(dest="hecke_command", required=True)
-    nf = hecke_sub.add_parser("normal-form", help="normal form of a generator expression")
-    nf.add_argument("--rank", type=int, required=True)
-    nf.add_argument("--expr", type=str, required=True)
-    nf.set_defaults(run=_run_hecke_normal_form)
-
-    verify = sub.add_parser("verify", help="run property suites")
-    verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    verify.add_argument("--modulus", type=int, default=3)
-    verify.add_argument("--max-size", type=int, default=6)
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.add_argument(
-        "--timings",
-        action="store_true",
-        help="include elapsed seconds per check (breaks byte-for-byte determinism)",
-    )
-    verify.set_defaults(run=_run_verify)
-    return parser
+    help: str
+    run: Callable[[argparse.Namespace], int] | None = None
+    options: tuple[Option, ...] = ()
 
 
 def _emit(text: str) -> None:
@@ -185,12 +144,159 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+COMMANDS: dict[tuple[str, ...], Command] = {
+    (): Command(
+        "Exact Fock-space combinatorics on partitions.",
+        options=(
+            Option(
+                "--profile", None, default=False,
+                help=f"print the top {PROFILE_ROWS} cProfile rows of the request to stderr",
+            ),
+        ),
+    ),
+    ("crystal",): Command("crystal graph up to a size bound", _run_crystal, (
+        Option("--modulus", int, required=True),
+        Option("--max-size", int, required=True),
+        Option("--format", str, choices=("json", "dot"), default="json"),
+    )),
+    ("fock",): Command("Fock space operators"),
+    ("fock", "op-matrix"): Command("matrix of e_i, f_i or h_i on a graded piece", _run_op_matrix, (
+        Option("--op", str, choices=("e", "f", "h"), required=True),
+        Option("--residue", int, required=True),
+        Option("--modulus", int, required=True),
+        Option("--degree", int, required=True),
+        Option("--format", str, choices=("json", "csv"), default="json"),
+    )),
+    ("blocks",): Command("block decomposition of one degree layer", _run_blocks, (
+        Option("--modulus", int, required=True),
+        Option("--degree", int, required=True),
+        Option("--format", str, choices=("json",), default="json"),
+    )),
+    ("core",): Command("e-core and p-weight of a partition", _run_core, (
+        Option("--modulus", int, required=True),
+        Option("--partition", str, required=True),
+    )),
+    ("casimir",): Command("Casimir scalar and box eigenvalues", _run_casimir, (
+        Option("--partition", str, required=True),
+        Option("--n", int, required=True),
+        Option("--modulus", int, default=0),
+    )),
+    ("branch",): Command("one-box branching via Schur expansion", _run_branch, (
+        Option("--partition", str, required=True),
+        Option("--n", int, required=True),
+    )),
+    ("pieri",): Command("multiply by the standard character and expand", _run_pieri, (
+        Option("--partition", str, required=True),
+        Option("--n", int, required=True),
+    )),
+    ("hecke",): Command("degenerate affine Hecke algebra"),
+    ("hecke", "normal-form"): Command(
+        "normal form of a generator expression", _run_hecke_normal_form, (
+            Option("--rank", int, required=True),
+            Option("--expr", str, required=True),
+        ),
+    ),
+    ("verify",): Command("run property suites", _run_verify, (
+        Option("--suite", str, choices=(*SUITES, "all"), default="all"),
+        Option("--modulus", int, default=3),
+        Option("--max-size", int, default=6),
+        Option("--seed", int, default=DEFAULT_SEED),
+        Option(
+            "--timings", None, default=False,
+            help="include elapsed seconds per check (breaks byte-for-byte determinism)",
+        ),
+    )),
+}
+"""Every subcommand path, parents before children, in the order help lists them."""
+
+
+def _subcommand_dest(parent: tuple[str, ...]) -> str:
+    """Where the subcommand chosen under ``parent`` is stored: command, fock_command, ..."""
+    return "_".join((*parent, "command"))
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of COMMANDS: help, usage errors and every other request."""
+    parsers = {(): argparse.ArgumentParser(prog="fockspace", description=COMMANDS[()].help)}
+    subparsers = {}
+    for path, command in COMMANDS.items():
+        if path:
+            parent = path[:-1]
+            if parent not in subparsers:
+                subparsers[parent] = parsers[parent].add_subparsers(
+                    dest=_subcommand_dest(parent), required=True
+                )
+            parsers[path] = subparsers[parent].add_parser(path[-1], help=command.help)
+        parser = parsers[path]
+        for option in command.options:
+            if option.type is None:
+                parser.add_argument(
+                    option.flag, action="store_true", default=option.default, help=option.help
+                )
+            else:
+                parser.add_argument(
+                    option.flag, type=option.type, choices=option.choices,
+                    default=option.default, required=option.required, help=option.help,
+                )
+        if command.run is not None:
+            parser.set_defaults(run=command.run)
+    return parsers[()]
+
+
+def _read_request(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse returns for ``argv`` if it is a plain request, else None.
+
+    A plain request is a runnable COMMANDS path followed by exact long flags
+    of that entry, each at most once.  A flag that takes a value is followed
+    by a token that does not start with "-", converts with the option's type
+    and lies in its choices.  Every required flag is present.  On anything
+    else the reader gives up and leaves the request to argparse.
+    """
+    path = tuple(argv[:1])
+    if path in COMMANDS and COMMANDS[path].run is None:  # a group: fock, hecke
+        path = tuple(argv[:2])
+    command = COMMANDS.get(path)
+    if command is None or command.run is None:
+        return None
+    values: dict[str, Any] = {"run": command.run}
+    for depth in range(len(path) + 1):
+        for option in COMMANDS[path[:depth]].options:
+            values[option.dest] = option.default
+        if depth < len(path):
+            values[_subcommand_dest(path[:depth])] = path[depth]
+    options = {option.flag: option for option in command.options}
+    tokens = iter(argv[len(path):])
+    for flag in tokens:
+        option = options.pop(flag, None)
+        if option is None:  # not a flag of this command, or a repeated one
+            return None
+        if option.type is None:
+            values[option.dest] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads like a flag
+        if text.startswith("-"):
+            return None
+        try:
+            value = option.type(text)
+        except (TypeError, ValueError):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if any(option.required for option in options.values()):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     try:
         return args.run(args)
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a fault of the program, not of the request
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def _profiled(args: argparse.Namespace) -> int:
@@ -207,11 +313,14 @@ def _profiled(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_request(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     if args.profile:
         return _profiled(args)
     return _dispatch(args)

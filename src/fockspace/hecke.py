@@ -15,6 +15,7 @@ Permutations are stored in one-line notation; the product w * v means
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterator, Mapping
 
 Perm = tuple[int, ...]
@@ -307,6 +308,17 @@ def _tokenize(expr: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _read_int(digits: str, what: str) -> int:
+    """``int(digits)``; a literal past int()'s limit on digits is named as ``what``."""
+    try:
+        return int(digits)
+    except ValueError:  # the tokenizer passes only ASCII digits, so this is the limit
+        raise ValueError(
+            f"{what} in expression has {len(digits)} digits, "
+            f"more than {sys.get_int_max_str_digits()}"
+        ) from None
+
+
 MAX_NESTING = 100
 """Deepest nesting of parentheses and unary minus signs an expression may use."""
 
@@ -369,12 +381,10 @@ class _Parser:
 
     def atom(self) -> HeckeElement:
         kind, text = self.take()
-        if kind == "y":
-            return from_generator("y", int(text), self.n)
-        if kind == "t":
-            return from_generator("t", int(text), self.n)
+        if kind in ("y", "t"):
+            return from_generator(kind, _read_int(text, f"index of {kind}"), self.n)
         if kind == "int":
-            return HeckeElement.scalar(int(text), self.n)
+            return HeckeElement.scalar(_read_int(text, "integer"), self.n)
         if (kind, text) == ("paren", "("):
             value = self.nested(self.expr)
             if self.take() != ("paren", ")"):

@@ -1,11 +1,26 @@
+import ast
+import contextlib
 import importlib
+import io
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import deadline
+from fockspace import cli
 from fockspace.cli import main
 from fockspace.partitions import Partition, partitions_of
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+CLI_TEXT = json.loads((ROOT / "tests" / "data" / "cli_text.json").read_text())
 
 
 def run_cli(capsys, *args):
@@ -333,3 +348,199 @@ def test_verify_names_a_schur_expansion_that_does_not_cancel(monkeypatch, capsys
     assert obj["passed"] is False
     found = {r["name"]: r["counterexample"] for r in obj["results"]}
     assert found["branch_coherence"] == "s_[] does not cancel its leading term (0,)"
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("y1*" + "9" * 4400, "integer in expression has 4400 digits, more than 4300"),
+        ("y" + "9" * 4400, "index of y in expression has 4400 digits, more than 4300"),
+        ("t" + "9" * 4400, "index of t in expression has 4400 digits, more than 4300"),
+    ],
+    ids=["integer", "y_index", "t_index"],
+)
+def test_an_integer_too_long_to_read_is_named_as_input(capsys, expr, message):
+    code, out, err = run_cli(capsys, "hecke", "normal-form", "--rank", "2", "--expr", expr)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_internal_fault_exits_3_with_one_line(monkeypatch, capsys):
+    def broken(p, e):
+        raise RuntimeError("synthetic fault")
+
+    monkeypatch.setattr(cli, "core_and_weight", broken)
+    code, out, err = run_cli(capsys, "core", "--modulus", "2", "--partition", "[1]")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: synthetic fault\n")
+
+
+def test_an_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupted(p, e):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "core_and_weight", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["core", "--modulus", "2", "--partition", "[1]"])
+
+
+# Help texts and usage errors are argparse's; they were recorded with COLUMNS=80
+# from the hand-written parser that COMMANDS replaced, so the table must rebuild
+# that parser exactly.  argparse's wording changes between Python versions.
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != CLI_TEXT["python"],
+    reason=f"argparse's help and error text was recorded on Python {CLI_TEXT['python']}",
+)
+@pytest.mark.parametrize(
+    "case", CLI_TEXT["cases"], ids=lambda case: " ".join(case["argv"]) or "(no arguments)"
+)
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", str(CLI_TEXT["columns"]))
+    assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def run_module(*args):
+    """``python -m fockspace.cli`` in a fresh interpreter, as the console script runs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fockspace.cli", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_console_script_prints_the_readme_core_example():
+    lines = README.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("$ fockspace core "))
+    done = run_module(*shlex.split(lines[k])[2:])
+    assert (done.returncode, done.stdout, done.stderr) == (0, lines[k + 1] + "\n", "")
+
+
+def test_console_script_help_exits_0():
+    done = run_module("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: fockspace ")
+
+
+def test_console_script_usage_error_exits_2():
+    done = run_module("core", "--mod", "2")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: fockspace core ")
+
+
+def _argparse_reads(argv):
+    """vars() of the namespace argparse returns for argv, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_reader_agrees_with_argparse(argv):
+    """The reader gives argparse's namespace or None, and reads each flag once.
+
+    argparse lets a repeated flag's last value win; the reader leaves that to it.
+    """
+    mine = cli._read_request(argv)
+    if mine is not None:
+        assert vars(mine) == _argparse_reads(argv), argv
+        flags = [token for token in argv if token.startswith("-")]
+        assert len(flags) == len(set(flags)), argv
+
+
+def _readme_requests():
+    return [
+        shlex.split(line)[2:]
+        for line in README.read_text().splitlines()
+        if line.startswith("$ fockspace ")
+    ]
+
+
+def _requests_written_in(source):
+    """Every argv spelled out in source: constant run_cli arguments, and lists
+    or tuples of strings that start with a command or --profile."""
+    starts = {path[0] for path in cli.COMMANDS if path} | {"--profile"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_cli":
+            items = node.args[1:]
+        elif isinstance(node, (ast.List, ast.Tuple)):
+            items = node.elts
+        else:
+            continue
+        if items and all(isinstance(x, ast.Constant) and isinstance(x.value, str) for x in items):
+            argv = [x.value for x in items]
+            if argv[0] in starts:
+                found.append(argv)
+    return found
+
+
+CORPUS = (
+    _readme_requests()
+    + _requests_written_in(Path(__file__).read_text())
+    + [case["argv"] for case in CLI_TEXT["cases"]]
+)
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_reader_agrees_with_argparse_on_the_corpus(argv):
+    assert_reader_agrees_with_argparse(argv)
+
+
+def test_corpus_covers_the_readme_and_this_file():
+    assert ["hecke", "normal-form", "--rank", "2", "--expr", "t1*y2*t1"] in _readme_requests()
+    assert ["core", "--modulus", "2", "--partition", "[2,1,1]"] in CORPUS
+    assert ["fock", "op-matrix", "--op", "e", "--residue", "2", "--modulus", "3",
+            "--degree", "3", "--format", "csv"] in CORPUS
+
+
+@pytest.mark.parametrize("argv", _readme_requests(), ids=" ".join)
+def test_plain_requests_do_not_build_a_parser(monkeypatch, capsys, argv):
+    def unused():
+        raise AssertionError("a plain request built the argparse parser")
+
+    monkeypatch.setattr(cli, "_build_parser", unused)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    once = run_cli(capsys, "verify", "--suite", "crystal", "--max-size", "2")
+    twice = run_cli(capsys, "verify", "--suite", "hecke", "--max-size", "2", "--suite", "crystal")
+    assert twice == once and once[0] == 0
+
+
+RUNNABLE = [path for path, command in cli.COMMANDS.items() if command.run is not None]
+TOKENS = sorted(
+    {token for path in cli.COMMANDS for token in path}
+    | {option.flag for command in cli.COMMANDS.values() for option in command.options}
+    | {"-h", "--help", "--profile", "--", "--mod", "--modulus=3"}
+)
+VALUES = ["3", "-1", "0", " 3", "+3", "\u0663", "1_0", "9" * 4400, "json", "xml", "[2,1]", ""]
+
+
+# each flaw of a near request is drawn one time in three
+FLAW = st.sampled_from((False, False, True))
+
+
+@st.composite
+def near_requests(draw):
+    """A runnable path with its flags in any order, and at random a flag left
+    out, a flag repeated or a stray token; values may not convert."""
+    path = draw(st.sampled_from(RUNNABLE))
+    options = draw(st.permutations(cli.COMMANDS[path].options))
+    if options and draw(FLAW):
+        options.pop()
+    if options and draw(FLAW):
+        options.append(draw(st.sampled_from(options)))
+    argv = list(path)
+    for option in options:
+        argv.append(option.flag)
+        if option.type is not None:
+            argv.append(draw(st.sampled_from(option.choices or ("3",)) | st.sampled_from(VALUES)))
+    if draw(FLAW):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS + VALUES)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_requests() | st.lists(st.sampled_from(TOKENS + VALUES), max_size=8))
+def test_reader_agrees_with_argparse(argv):
+    assert_reader_agrees_with_argparse(argv)
