@@ -5,6 +5,10 @@ The i-signature of a partition is the word of + (addable i-box) and -
 cancelling adjacent +- pairs the word looks like -...-+...+; the rightmost
 surviving - marks the good box (removed by e_tilde), the leftmost surviving
 + marks the cogood box (added by f_tilde).
+
+``e_tilde`` and ``f_tilde`` find that box in one bracket scan of the rim
+walk; ``signature``, ``reduced_signature``, ``good_box`` and ``cogood_box``
+build the words themselves and are the oracle the scans are checked against.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from .partitions import (
     Box,
     Partition,
     _edit_row,
+    canonical_residue,
     check_modulus,
     i_corners,
     partitions_up_to,
-    residue_window,
+    rim_corners,
 )
 
 
@@ -77,16 +82,38 @@ def cogood_box(p: Partition, i: int, e: int) -> Optional[Box]:
     return None
 
 
+def _i_rim(p: Partition, i: int, e: int) -> list[tuple[int, int]]:
+    """(sign, row) of each residue-i corner of p in rim order; sign 1 is addable."""
+    i = canonical_residue(i, e)
+    return [
+        (sign, row)
+        for sign, row, col in rim_corners(p)
+        if ((col - row) % e if e else col - row) == i
+    ]
+
+
 def e_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
-    """Remove the i-good box; None when there is none."""
-    box = good_box(p, i, e)
-    return None if box is None else _edit_row(p, box.row, -1)
+    """Remove the i-good box: the last - that finds no earlier + to cancel."""
+    good, pluses = 0, 0
+    for sign, row in _i_rim(p, i, e):
+        if sign > 0:
+            pluses += 1
+        elif pluses:
+            pluses -= 1
+        else:
+            good = row
+    return _edit_row(p, good, -1) if good else None
 
 
 def f_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
-    """Add the i-cogood box; None when there is none."""
-    box = cogood_box(p, i, e)
-    return None if box is None else _edit_row(p, box.row, 1)
+    """Add the i-cogood box: the first + that no later - cancels."""
+    pluses: list[int] = []  # rows of the + not cancelled yet, leftmost first
+    for sign, row in _i_rim(p, i, e):
+        if sign > 0:
+            pluses.append(row)
+        elif pluses:
+            pluses.pop()
+    return _edit_row(p, pluses[0], 1) if pluses else None
 
 
 def epsilon(p: Partition, i: int, e: int) -> int:
@@ -108,46 +135,55 @@ class CrystalGraph:
     nodes: tuple[tuple[Partition, Weight], ...]
     edges: tuple[tuple[Partition, Partition, int], ...]
 
+    def _labels(self) -> dict[Partition, str]:
+        """The text of each node, formatted once, in node order."""
+        return {p: str(p) for p, _ in self.nodes}
+
     def json_dict(self) -> dict:
+        labels = self._labels()
         return {
             "modulus": self.modulus,
             "nodes": [
-                {"partition": str(p), "size": p.size, "weight": w.json_dict()}
+                {"partition": labels[p], "size": p.size, "weight": w.json_dict()}
                 for p, w in self.nodes
             ],
             "edges": [
-                {"src": str(src), "dst": str(dst), "residue": i}
+                {"src": labels[src], "dst": labels[dst], "residue": i}
                 for src, dst, i in self.edges
             ],
         }
 
     def dot(self) -> str:
+        labels = self._labels()
         lines = ["digraph crystal {"]
-        for p, _ in self.nodes:
-            lines.append(f'  "{p}";')
-        for src, dst, i in self.edges:
-            lines.append(f'  "{src}" -> "{dst}" [label="{i}"];')
+        lines.extend(f'  "{label}";' for label in labels.values())
+        lines.extend(
+            f'  "{labels[src]}" -> "{labels[dst]}" [label="{i}"];' for src, dst, i in self.edges
+        )
         lines.append("}")
         return "\n".join(lines)
 
 
 def crystal_graph(e: int, d: int) -> CrystalGraph:
-    """Build the crystal on partitions of size <= d."""
+    """Build the crystal on partitions of size <= d.
+
+    f_tilde(p, i) is None unless p has an addable i-box, so each node tries
+    only the residues of its addable boxes, in increasing order: the edges
+    come out sorted by source (nodes are ordered by size) and residue.
+    """
     check_modulus(e)
     if d < 0:
         raise ValueError(f"max size must be >= 0, got {d}")
     nodes = partitions_up_to(d)
-    node_order = {p: k for k, p in enumerate(nodes)}
-    residues = residue_window(e, d)
     edges = []
     for p in nodes:
-        if p.size == d:
-            continue
-        for i in residues:
+        if p.size == d:  # the last layer; its f_tilde images lie outside the graph
+            break
+        addable = {col - row for sign, row, col in rim_corners(p) if sign > 0}
+        for i in sorted({c % e for c in addable} if e else addable):
             target = f_tilde(p, i, e)
             if target is not None:
                 edges.append((p, target, i))
-    edges.sort(key=lambda t: (node_order[t[0]], t[2]))
     return CrystalGraph(
         modulus=e,
         max_size=d,

@@ -33,6 +33,19 @@ class Partition:
         self.parts: tuple[int, ...] = parts
 
     @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap a tuple already known to be positive and weakly decreasing.
+
+        Skips the constructor's checks.  Only for tuples built by a step that
+        keeps a partition valid: a corner edit, a rim-hook removal, the
+        enumeration of ``partitions_of``.  Any other input goes through
+        ``Partition(...)``.
+        """
+        p = cls.__new__(cls)
+        p.parts = parts
+        return p
+
+    @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse the bracketed text form, e.g. ``[4,4,2,1]`` or ``[]``."""
         s = text.strip()
@@ -75,7 +88,7 @@ class Partition:
         return self.parts <= other.parts
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return "[" + ",".join(map(str, self.parts)) + "]"
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
@@ -184,7 +197,7 @@ def _edit_row(p: Partition, row: int, step: int) -> Partition:
     Unchecked: callers pass a corner of p from the rim walk.
     """
     parts, length = p.parts, p.row(row) + step
-    return Partition(parts[: row - 1] + ((length,) if length else ()) + parts[row:])
+    return Partition._trusted(parts[: row - 1] + ((length,) if length else ()) + parts[row:])
 
 
 def add_box(p: Partition, box: Box) -> Partition:
@@ -241,7 +254,7 @@ def partitions_of(d: int) -> list[Partition]:
     """All partitions of d in descending lexicographic order."""
     if d < 0:
         return []
-    return [Partition(t) for t in _partition_tuples(d, d if d else 1)]
+    return list(map(Partition._trusted, _partition_tuples(d, d if d else 1)))
 
 
 def partitions_up_to(d: int) -> list[Partition]:
@@ -283,7 +296,7 @@ def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box],
             for c in range(new + 1, parts[r] + 1)
         )
         leftover = parts[:j] + tuple(x for x in rows if x) + parts[t + 1 :]
-        hooks.append((boxes, Partition(leftover)))
+        hooks.append((boxes, Partition._trusted(leftover)))
     return hooks
 
 

@@ -29,10 +29,12 @@ from .characters import (
 )
 from .crystal import (
     Signature,
+    cogood_box,
     crystal_graph,
     e_tilde,
     epsilon,
     f_tilde,
+    good_box,
     phi,
     reduced_signature,
 )
@@ -57,6 +59,7 @@ from .partitions import (
     PLUS,
     Box,
     Partition,
+    _edit_row,
     addable_boxes,
     add_box,
     check_modulus,
@@ -224,18 +227,44 @@ def check_partial_inverse(e: int, max_size: int) -> Optional[str]:
 
 
 def check_string_lengths(e: int, max_size: int) -> Optional[str]:
+    """The e_tilde and f_tilde strings of lambda have lengths epsilon and phi.
+
+    Each walk stops one step past its expected length, so an operator that
+    never returns None is reported instead of walked forever.
+    """
     for lam in partitions_up_to(max_size):
         for i in residue_window(e, max_size):
-            steps, cur = 0, lam
-            while (cur := e_tilde(cur, i, e)) is not None:
-                steps += 1
-            if steps != epsilon(lam, i, e):
-                return f"epsilon: lambda={lam}, i={i}, e={e}"
-            steps, cur = 0, lam
-            while (cur := f_tilde(cur, i, e)) is not None:
-                steps += 1
-            if steps != phi(lam, i, e):
-                return f"phi: lambda={lam}, i={i}, e={e}"
+            for name, step, length in (
+                ("epsilon", e_tilde, epsilon(lam, i, e)),
+                ("phi", f_tilde, phi(lam, i, e)),
+            ):
+                steps, cur = 0, lam
+                while steps <= length and (cur := step(cur, i, e)) is not None:
+                    steps += 1
+                if steps > length:
+                    return f"{name}: lambda={lam}, i={i}, e={e}, string longer than {length}"
+                if steps != length:
+                    return f"{name}: lambda={lam}, i={i}, e={e}"
+    return None
+
+
+def check_tilde_signature_agree(e: int, max_size: int) -> Optional[str]:
+    """The bracket scans of e_tilde/f_tilde edit the good/cogood box of the
+    signature oracle, and crystal_graph, which tries only the residues of
+    addable boxes, has the edges of the oracle over the whole window."""
+    edges = []
+    for lam in partitions_up_to(max_size):
+        for i in residue_window(e, max_size):
+            good, cogood = good_box(lam, i, e), cogood_box(lam, i, e)
+            if e_tilde(lam, i, e) != (None if good is None else _edit_row(lam, good.row, -1)):
+                return f"e_tilde: lambda={lam}, i={i}, e={e}"
+            target = None if cogood is None else _edit_row(lam, cogood.row, 1)
+            if f_tilde(lam, i, e) != target:
+                return f"f_tilde: lambda={lam}, i={i}, e={e}"
+            if target is not None and lam.size < max_size:
+                edges.append((lam, target, i))
+    if crystal_graph(e, max_size).edges != tuple(edges):
+        return f"crystal_graph edges differ from the whole-window oracle (e={e}, d={max_size})"
     return None
 
 
@@ -927,6 +956,7 @@ CHECKS: tuple[Check, ...] = (
     Check("crystal", "connectivity", check_connectivity, _modulus_size),
     Check("crystal", "addable_monotone", check_addable_monotone, _modulus_size),
     Check("crystal", "box_counts", check_box_counts, _size),
+    Check("crystal", "tilde_signature_agree", check_tilde_signature_agree, _modulus_size),
     Check("hecke", "relations", check_hecke_relations, lambda e, d, seed: {"max_rank": 4}),
     Check("hecke", "associativity", check_hecke_associativity,
           lambda e, d, seed: {"max_rank": 4, "trials": 120, "seed": seed}),

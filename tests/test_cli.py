@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -544,3 +545,97 @@ def near_requests(draw):
 @given(near_requests() | st.lists(st.sampled_from(TOKENS + VALUES), max_size=8))
 def test_reader_agrees_with_argparse(argv):
     assert_reader_agrees_with_argparse(argv)
+
+
+# sha256 of the stdout of the benchmark's crystal requests (its graph_export
+# workload), recorded from the graph builder that called f_tilde on every
+# residue of the window and formatted each label per use.
+CRYSTAL_STDOUT_SHA256 = {
+    ("2", "22", "json"): "d286e8b522fd39121270702bd3dea91c387850603ac76cd1d8717d8dd3bbc37e",
+    ("2", "22", "dot"): "d4cc06b5e6daadce2c5dbc85645affc5deddfc2d281036a341a42bf9232caa87",
+    ("3", "22", "json"): "497c6aefed045d955e504099035a250779dc9b5124b939ccf6b5888407a0166f",
+    ("3", "22", "dot"): "e836ec08a63428c5e2bee45b9ba171eb99bcdd1f9dce07d531701a865bfa6074",
+    ("5", "22", "json"): "322b5fa93ed6a599eb0e6c7e48d500f9a5737f4e4f6593f8d22cebb482e60835",
+    ("5", "22", "dot"): "c7ac6714e72d494bfec9480d1eb57c758823b8dec5fe051c487159e05684db55",
+    ("0", "18", "json"): "bbec890263170c9f1438d1272bf25eb73e4871aa99692b0859452597cb9c91c0",
+    ("0", "18", "dot"): "f75973e36a77383fd84315fa7ba6a3fa05a3cbf7f52fa1fbc4a045257e2301bb",
+}
+
+
+@pytest.mark.parametrize("modulus, max_size, fmt", sorted(CRYSTAL_STDOUT_SHA256))
+def test_crystal_output_is_pinned(capsys, modulus, max_size, fmt):
+    code, out, err = run_cli(
+        capsys, "crystal", "--modulus", modulus, "--max-size", max_size, "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CRYSTAL_STDOUT_SHA256[modulus, max_size, fmt]
+
+
+def _always_add_a_box(p, i, e):
+    return Partition((p.row(1) + 1, *p.parts[1:]))
+
+
+@pytest.mark.parametrize(
+    "op, wrong", [("f_tilde", _always_add_a_box), ("e_tilde", lambda p, i, e: p)]
+)
+def test_a_crystal_operator_that_never_stops_fails_string_lengths(monkeypatch, capsys, op, wrong):
+    import fockspace.verify as verify_module
+
+    monkeypatch.setattr(verify_module, op, wrong)
+    with deadline(30):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "crystal", "--modulus", "3", "--max-size", "3"
+        )
+    assert code == 1
+    (result,) = [r for r in json.loads(out)["results"] if r["name"] == "string_lengths"]
+    assert result["passed"] is False
+    assert "string longer than" in result["counterexample"]
+
+
+WORK_LIMITS = [
+    (["crystal", "--modulus", "2", "--max-size"], "--max-size", cli.MAX_CRYSTAL_SIZE),
+    (
+        ["fock", "op-matrix", "--op", "e", "--residue", "0", "--modulus", "3", "--degree"],
+        "--degree",
+        cli.MAX_OP_DEGREE,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, flag, bound", WORK_LIMITS)
+def test_a_size_over_its_work_limit_is_a_usage_error(capsys, argv, flag, bound):
+    code, out, err = run_cli(capsys, *argv, str(bound + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at most {bound}, got {bound + 1}\n"
+
+
+@pytest.mark.parametrize("argv, flag, bound", WORK_LIMITS)
+def test_a_size_at_its_work_limit_is_accepted(monkeypatch, capsys, argv, flag, bound):
+    seen = []
+    small_graph, small_matrix = cli.crystal_graph(2, 1), cli.op_matrix("e", 0, 3, 1)
+    monkeypatch.setattr(cli, "crystal_graph", lambda e, d: seen.append(d) or small_graph)
+    monkeypatch.setattr(cli, "op_matrix", lambda op, i, e, d: seen.append(d) or small_matrix)
+    code, _, err = run_cli(capsys, *argv, str(bound))
+    assert (code, err, seen) == (0, "", [bound])
+
+
+def test_work_limits_cover_every_documented_and_benchmarked_size():
+    """The README, this file and the benchmark workloads stay within the limits."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    requests = CORPUS + [
+        argv for name in workloads.WORKLOADS for argv in workloads.requests_for(name, 1)
+    ]
+    sizes = {"--max-size": [], "--degree": []}
+    for argv in requests:
+        if argv[:1] == ["crystal"] or argv[:2] == ["fock", "op-matrix"]:
+            for flag, values in sizes.items():
+                if flag in argv[:-1] and argv[argv.index(flag) + 1].isdigit():
+                    values.append(int(argv[argv.index(flag) + 1]))
+    assert 22 in sizes["--max-size"] and 23 in sizes["--degree"]
+    assert max(sizes["--max-size"]) <= cli.MAX_CRYSTAL_SIZE
+    assert max(sizes["--degree"]) <= cli.MAX_OP_DEGREE

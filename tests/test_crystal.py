@@ -1,8 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import large_partition_strategy
 from fockspace.crystal import (
     Signature,
     cogood_box,
@@ -25,6 +26,7 @@ from fockspace.partitions import (
     remove_box,
     residue_window,
 )
+from fockspace.verify import check_tilde_signature_agree
 
 P = Partition
 
@@ -180,3 +182,67 @@ def test_socle_coefficient_is_one():
                 mu = f_tilde(lam, i, e)
                 if mu is not None:
                     assert apply_f(FockVector.basis(lam), i, e).coefficient(mu) == 1
+
+
+def _oracle_e_tilde(lam, i, e):
+    good = good_box(lam, i, e)
+    return None if good is None else remove_box(lam, good)
+
+
+def _oracle_f_tilde(lam, i, e):
+    cogood = cogood_box(lam, i, e)
+    return None if cogood is None else add_box(lam, cogood)
+
+
+@settings(deadline=None)
+@given(large_partition_strategy(200), st.sampled_from([0, 2, 3, 5]))
+def test_bracket_scans_equal_the_signature_oracle_at_large_sizes(lam, e):
+    for i in residue_window(e, lam.size):
+        assert e_tilde(lam, i, e) == _oracle_e_tilde(lam, i, e)
+        assert f_tilde(lam, i, e) == _oracle_f_tilde(lam, i, e)
+
+
+def test_bracket_scans_reduce_the_residue_and_check_the_modulus():
+    lam = P((3, 1))
+    assert f_tilde(lam, 5, 3) == f_tilde(lam, 2, 3) == _oracle_f_tilde(lam, 2, 3)
+    assert e_tilde(lam, -1, 3) == e_tilde(lam, 2, 3) == _oracle_e_tilde(lam, 2, 3)
+    for op in (e_tilde, f_tilde):
+        with pytest.raises(ValueError, match="modulus"):
+            op(lam, 0, 1)
+
+
+def _whole_window_edges(e, d):
+    """The edges over every residue of the window, through the signature oracle."""
+    return tuple(
+        (lam, mu, i)
+        for lam in partitions_up_to(d - 1)
+        for i in residue_window(e, d)
+        if (mu := _oracle_f_tilde(lam, i, e)) is not None
+    )
+
+
+@pytest.mark.parametrize("e", [0, 2, 3, 5])
+def test_crystal_graph_equals_the_whole_window_loop(e):
+    for d in range(11):
+        assert crystal_graph(e, d).edges == _whole_window_edges(e, d)
+
+
+def test_tilde_signature_agree_catches_a_wrong_operator(monkeypatch):
+    import fockspace.verify as verify_module
+
+    # an e_tilde that returns its input where it should return None
+    monkeypatch.setattr(verify_module, "e_tilde", lambda p, i, e: p)
+    assert check_tilde_signature_agree(2, 2) == "e_tilde: lambda=[], i=0, e=2"
+
+
+def test_tilde_signature_agree_catches_a_pruned_edge(monkeypatch):
+    import fockspace.crystal as crystal_module
+
+    # an f_tilde that misses every residue-0 box leaves edges out of the graph
+    original = crystal_module.f_tilde
+    monkeypatch.setattr(
+        crystal_module, "f_tilde", lambda p, i, e: None if i == 0 else original(p, i, e)
+    )
+    assert check_tilde_signature_agree(3, 3) == (
+        "crystal_graph edges differ from the whole-window oracle (e=3, d=3)"
+    )

@@ -10,6 +10,7 @@ from fockspace.partitions import (
     PLUS,
     Box,
     Partition,
+    _edit_row,
     addable_boxes,
     add_box,
     canonical_residue,
@@ -324,3 +325,24 @@ def test_add_then_remove_roundtrip(lam):
 def test_residues_partition_the_boxes(e):
     for lam in partitions_up_to(7):
         assert sum(m_count(lam, i, e) for i in range(e)) == lam.size
+
+
+def _is_checked_partition(p):
+    """p holds a plain tuple of ints that the checking constructor accepts unchanged."""
+    parts = p.parts
+    return type(parts) is tuple and all(type(x) is int for x in parts) and Partition(parts) == p
+
+
+@settings(deadline=None)
+@given(large_partition_strategy(80))
+def test_trusted_call_sites_return_checked_partitions(lam):
+    made = [_edit_row(lam, box.row, 1) for box in addable_boxes(lam)]
+    made += [_edit_row(lam, box.row, -1) for box in removable_boxes(lam)]
+    for length in range(1, lam.size + 1):
+        made += [left for _, left in removable_rim_hooks(lam, length)]
+    assert all(_is_checked_partition(p) for p in made), lam
+
+
+def test_partitions_of_returns_checked_partitions():
+    for d in range(16):
+        assert all(_is_checked_partition(p) for p in partitions_of(d))
