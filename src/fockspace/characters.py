@@ -9,11 +9,20 @@ step of the inverse system Lambda = lim Lambda_n; its work grows with the
 number of distinct terms, not with the number of semistandard tableaux.
 Tableau enumeration (in ``verify``) and the Jacobi-Trudi determinant over
 complete homogeneous polynomials are independent second constructions used
-for cross-checking.  Expanding a symmetric polynomial in the Schur basis
-works by repeatedly subtracting the Schur polynomial whose leading monomial
-matches: the lexicographically greatest exponent vector of a symmetric
-polynomial is weakly decreasing, and subtracting its Schur polynomial only
-leaves lex-smaller terms, so the loop terminates.
+for cross-checking.
+
+A symmetric polynomial is fixed by its coefficients on dominant (weakly
+decreasing) exponent vectors, s_lam = sum of K_lam,mu m_mu (Macdonald, I §2,
+§5).  The prefix of a dominant vector is dominant, so the branching rule
+restricted to dominant vectors is closed: ``_kostka`` gives the Kostka row
+K_lam,. from the rows of smaller shapes in one variable fewer, at most
+p(|lam|) entries whatever n is.  The Kostka numbers do not depend on n, which
+is the inverse-limit statement, so ``pieri_mult`` and ``branch_r1`` work in
+at most |lam| + 1 variables and never build the exponent vectors of s_lam.
+Expanding in the Schur basis reads the dominant terms only: the greatest one
+is the leading term, a partition, and subtracting its Kostka row only leaves
+smaller ones, so the loop terminates.  The public ``schur`` and
+``SymPolynomial`` keep every term.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .partitions import Partition
 
@@ -149,6 +158,40 @@ def _schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...],
     return tuple(sorted(_branch(shape, n, {}).items()))
 
 
+@lru_cache(maxsize=4096)
+def _kostka(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The sorted (dominant exponent vector mu, K_shape,mu) pairs of s_shape(x_1..x_n).
+
+    The dominant (weakly decreasing) part of ``_schur_terms(shape, n)``,
+    which fixes the symmetric polynomial: s_shape = sum of K_shape,mu m_mu.
+    These are the rows the Schur expansion subtracts.  Cached like
+    ``_schur_terms``; the value is a tuple, so no caller can change what
+    the cache holds.
+    """
+    if len(shape) > n:
+        return ()
+    return tuple(sorted(_dominant_branch(shape, n, 0)))
+
+
+def _strips(
+    shape: tuple[int, ...], n: int, lo: int, hi: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(mu, |shape/mu|) for each horizontal strip shape/mu of lo..hi boxes, mu with < n rows."""
+    rows = min(len(shape), n - 1)
+    size = sum(shape)
+    # rows below the first n-1 lie in the strip whole; mu interlaces the
+    # rest, shape_{k+1} <= mu_k <= shape_k, and no row gives up more than hi
+    forced = size - sum(shape[:rows])
+    bounds = [
+        range(max(shape[k + 1] if k + 1 < len(shape) else 0, shape[k] - hi + forced), shape[k] + 1)
+        for k in range(rows)
+    ]
+    for mu in product(*bounds):
+        tail = size - sum(mu)
+        if lo <= tail <= hi:
+            yield tuple(x for x in mu if x), tail
+
+
 def _branch(
     shape: tuple[int, ...], n: int, memo: dict[tuple[tuple[int, ...], int], dict]
 ) -> dict[tuple[int, ...], int]:
@@ -159,19 +202,36 @@ def _branch(
     if key in memo:
         return memo[key]
     terms: dict[tuple[int, ...], int] = {}
-    size = sum(shape)
-    # mu interlaces shape: shape_{k+1} <= mu_k <= shape_k, with at most n-1 rows
-    bounds = [
-        range(shape[k + 1] if k + 1 < len(shape) else 0, shape[k] + 1)
-        for k in range(min(len(shape), n - 1))
-    ]
-    for mu in product(*bounds):
-        tail = (size - sum(mu),)
-        for exps, c in _branch(tuple(x for x in mu if x), n - 1, memo).items():
-            exps += tail
+    for mu, tail in _strips(shape, n, 0, sum(shape)):
+        for exps, c in _branch(mu, n - 1, memo).items():
+            exps += (tail,)
             terms[exps] = terms.get(exps, 0) + c
     memo[key] = terms
     return terms
+
+
+@lru_cache(maxsize=1 << 16)
+def _dominant_branch(
+    shape: tuple[int, ...], n: int, floor: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The dominant terms of s_shape(x_1..x_n) whose exponents are all >= floor.
+
+    The branching rule restricted to dominant exponent vectors, which is
+    closed because the prefix of a dominant vector is dominant: a term in n
+    variables extends a term in n-1 variables whose exponents are all at
+    least its last one, and that last one is at most |shape| / n.  Needs
+    len(shape) <= n.  Cached (the value is a tuple), so the Kostka rows of
+    one expansion share their sub-shapes; the cache holds every sub-shape
+    of a 22-box partition (about 17k entries for the slowest one found).
+    """
+    if n == 0:
+        return (((), 1),)
+    terms: dict[tuple[int, ...], int] = {}
+    for mu, tail in _strips(shape, n, floor, sum(shape) // n):
+        for exps, c in _dominant_branch(mu, n - 1, tail):
+            exps += (tail,)
+            terms[exps] = terms.get(exps, 0) + c
+    return tuple(terms.items())
 
 
 def schur(p: Partition, n: int) -> SymPolynomial:
@@ -253,19 +313,38 @@ def restrict_last_var(f: SymPolynomial) -> SymPolynomial:
 def schur_expand(f: SymPolynomial) -> dict[Partition, int]:
     """Expand a symmetric polynomial in the Schur basis (greedy subtraction).
 
-    Raises ``ArithmeticError`` when subtracting s_shape leaves its own
-    leading term behind, which only a wrong Schur engine can cause.
+    Only the dominant terms are read.  Raises ``ArithmeticError`` when
+    subtracting s_shape leaves its own leading term behind, which only a
+    wrong Schur engine can cause.
+    """
+    dominant = {
+        exps: c for exps, c in f.terms.items() if all(a >= b for a, b in zip(exps, exps[1:]))
+    }
+    return _expand_dominant(f.num_vars, dominant)
+
+
+def _expand_dominant(num_vars: int, remaining: dict[tuple[int, ...], int]) -> dict[Partition, int]:
+    """``schur_expand`` of the symmetric polynomial with these dominant terms.
+
+    The greatest dominant vector is the leading term; subtracting c times
+    the Kostka row of its shape leaves only smaller ones.  Consumes
+    ``remaining``.  So the leading terms strictly decrease, which ends the
+    loop; a row that breaks this (only a wrong engine can) raises
+    ``ArithmeticError`` instead of looping.
     """
     coeffs: dict[Partition, int] = {}
-    remaining = dict(f.terms)
+    above = None
     while remaining:
         lead = max(remaining)
+        if above is not None and lead > above:
+            raise ArithmeticError(f"s_{list(shape)} leaves {lead} above its leading term {above}")
+        above = lead
         shape = tuple(x for x in lead if x)
         if any(shape[k] < shape[k + 1] for k in range(len(shape) - 1)):
             raise ArithmeticError(f"leading exponent {lead} is not a partition")
         c = remaining[lead]
         coeffs[Partition(shape)] = c
-        for exps, k in _schur_terms(shape, f.num_vars):
+        for exps, k in _kostka(shape, num_vars):
             left = remaining.get(exps, 0) - c * k
             if left:
                 remaining[exps] = left
@@ -276,9 +355,9 @@ def schur_expand(f: SymPolynomial) -> dict[Partition, int]:
     return coeffs
 
 
-def _expand_to_multiset(f: SymPolynomial) -> list[Partition]:
+def _expand_to_multiset(num_vars: int, dominant: dict[tuple[int, ...], int]) -> list[Partition]:
     out: list[Partition] = []
-    for mu, c in schur_expand(f).items():
+    for mu, c in _expand_dominant(num_vars, dominant).items():
         if c < 0:
             raise ArithmeticError(f"negative multiplicity {c} at {mu}")
         out.extend([mu] * c)
@@ -288,25 +367,50 @@ def _expand_to_multiset(f: SymPolynomial) -> list[Partition]:
 def branch_r1(p: Partition, n: int) -> list[Partition]:
     """Degree-one branching layer of s_p in n+1 variables, Schur-expanded.
 
-    Extracts the coefficient of the first power of the extra variable in
-    s_p(x_1..x_n, t) and expands it in the Schur basis of n variables.  The
-    result is the multiset of partitions obtained by removing one box.
+    The coefficient of t^1 in s_p(x_1..x_n, t) is expanded in the Schur
+    basis of n variables.  The t^1 part of the monomial symmetric function
+    m_nu(x, t) is m_{nu minus one part 1}(x) when nu has a part 1 and zero
+    otherwise, so the layer is read off the Kostka numbers K_p,nu alone.
+    The result is the multiset of partitions obtained by removing one box.
+
+    The answer is the same for every n >= |p|: the Kostka numbers do not
+    depend on the number of variables, every partition of |p| already fits
+    in |p| + 1 of them, and no shape of |p| - 1 boxes is cut off in |p|.
+    So the work is done at n = |p|, which also keeps the branching-rule
+    recursion |p| + 1 deep whatever n is.
     """
     if n < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
-    big = schur(p, n + 1)
-    layer = ((exps[:-1], c) for exps, c in big.terms.items() if exps[-1] == 1)
-    return _expand_to_multiset(SymPolynomial._trusted(n, layer))
+    n = p.size
+    layer: dict[tuple[int, ...], int] = {}
+    for nu, k in _dominant_branch(p.parts, n + 1, 0):
+        if 1 in nu:
+            j = nu.index(1)
+            layer[nu[:j] + nu[j + 1:]] = k
+    return _expand_to_multiset(n, layer)
 
 
 def pieri_mult(p: Partition, n: int) -> list[Partition]:
     """Schur expansion of s_(1) * s_p in n variables.
 
-    The result is the multiset of partitions obtained by adding one box,
-    restricted to partitions with at most n rows (for n >= |p| + 1 nothing
-    is ever cut off).
+    The coefficient of m_nu in s_(1) * s_p is the sum of K_p,sort(nu - e_j)
+    over the positions j with nu_j > 0.  Read the other way round: raising
+    one part v of a dominant mu to v + 1 gives nu, and m_(1) * m_mu holds
+    m_nu once per part v + 1 of nu.  The result is the multiset of
+    partitions obtained by adding one box, restricted to partitions with at
+    most n rows.
+
+    For n >= |p| + 1 nothing is cut off and the Kostka numbers do not depend
+    on n, so the work is done at min(n, |p| + 1) variables; that also keeps
+    the branching-rule recursion at most |p| + 1 deep whatever n is.
     """
     if n < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
-    product = schur(Partition((1,)), n) * schur(p, n)
-    return _expand_to_multiset(product)
+    n = min(n, p.size + 1)
+    terms: dict[tuple[int, ...], int] = {}
+    for mu, k in _dominant_branch(p.parts, n, 0):
+        for j in range(n):
+            if j == 0 or mu[j - 1] > mu[j]:
+                nu = (*mu[:j], mu[j] + 1, *mu[j + 1:])
+                terms[nu] = terms.get(nu, 0) + k * nu.count(mu[j] + 1)
+    return _expand_to_multiset(n, terms)

@@ -30,12 +30,17 @@ from .verify import DEFAULT_SEED, SUITES, run_verify
 
 PROFILE_ROWS = 25
 
-# Work limits: the largest --max-size of crystal and --degree of fock
-# op-matrix that a request may ask for.  On a 2-vCPU VM with Python 3.11,
-# crystal --modulus 0 --max-size 30 (28,629 nodes) takes about 2.5 s and
-# 190 MB, and fock op-matrix --op f --degree 40 (37,338 columns) about 1.3 s.
+# Work limits: the largest --max-size of crystal, --degree of fock
+# op-matrix and partition size of pieri and branch that a request may ask
+# for.  On a 2-vCPU VM with Python 3.11, crystal --modulus 0 --max-size 30
+# (28,629 nodes) takes about 2.5 s and 190 MB, fock op-matrix --op f
+# --degree 40 (37,338 columns) about 1.3 s, and the slowest pieri of 22
+# boxes found (301 shapes with at most 6 rows tried, [11,5,3,2,1]) about
+# 1.1 s and 85 MB; at 20 boxes every shape takes at most 0.5 s, at 24 the
+# slowest found 2.1 s.  The work of pieri and branch does not grow with --n.
 MAX_CRYSTAL_SIZE = 30
 MAX_OP_DEGREE = 40
+MAX_CHARACTER_SIZE = 22
 
 
 class Option(NamedTuple):
@@ -136,12 +141,14 @@ def _run_casimir(args: argparse.Namespace) -> int:
 
 def _run_branch(args: argparse.Namespace) -> int:
     p = Partition.parse(args.partition)
+    _check_limit("the size of --partition", p.size, MAX_CHARACTER_SIZE)
     _emit(json.dumps([str(q) for q in branch_r1(p, args.n)]))
     return 0
 
 
 def _run_pieri(args: argparse.Namespace) -> int:
     p = Partition.parse(args.partition)
+    _check_limit("the size of --partition", p.size, MAX_CHARACTER_SIZE)
     _emit(json.dumps([str(q) for q in pieri_mult(p, args.n)]))
     return 0
 

@@ -20,6 +20,7 @@ from .blocks import blocks
 from .casimir import casimir_scalar, x_eigenvalue, y_eigenvalue
 from .characters import (
     SymPolynomial,
+    _kostka,
     _schur_terms,
     branch_r1,
     pieri_mult,
@@ -745,6 +746,20 @@ def check_schur_tableaux_agree(max_size: int, max_vars: int) -> Optional[str]:
     return None
 
 
+def check_kostka_agree(max_size: int, max_vars: int) -> Optional[str]:
+    """The dominant-only branching rule equals the dominant part of the full one."""
+    for n in range(max_vars + 1):
+        for lam in partitions_up_to(max_size):
+            dominant = tuple(
+                (exps, c)
+                for exps, c in _schur_terms(lam.parts, n)
+                if list(exps) == sorted(exps, reverse=True)
+            )
+            if _kostka(lam.parts, n) != dominant:
+                return f"lambda={lam}, n={n}"
+    return None
+
+
 def check_jacobi_trudi(max_size: int, max_vars: int) -> Optional[str]:
     for n in range(max_vars + 1):
         for lam in partitions_up_to(max_size):
@@ -946,6 +961,8 @@ CHECKS: tuple[Check, ...] = (
           lambda e, d, seed: {"modulus": e, "max_degree": min(d, 6)}),
     Check("characters", "symmetry", check_schur_symmetry, _shapes),
     Check("characters", "schur_tableaux_agree", check_schur_tableaux_agree, _shapes),
+    Check("characters", "kostka_agree", check_kostka_agree,
+          lambda e, d, seed: {"max_size": min(d, 6), "max_vars": 6}),
     Check("characters", "jacobi_trudi", check_jacobi_trudi,
           lambda e, d, seed: {"max_size": min(d, 5), "max_vars": 4}),
     Check("crystal", "partial_inverse", check_partial_inverse, _modulus_size),

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import deadline, partition_strategy
 from fockspace.characters import (
     SymPolynomial,
+    _kostka,
     _schur_terms,
     branch_r1,
     complete_homogeneous,
@@ -25,6 +26,7 @@ from fockspace.partitions import (
 )
 from fockspace.verify import (
     _tableau_schur_terms,
+    check_kostka_agree,
     check_schur_tableaux_agree,
     pieri_matrix,
     run_verify,
@@ -116,6 +118,40 @@ def test_schur_tableaux_agree_catches_a_dropped_term(monkeypatch):
     assert check_schur_tableaux_agree(4, 4) == "lambda=[1], n=2"
 
 
+def dominant_part(terms):
+    return tuple((exps, c) for exps, c in terms if list(exps) == sorted(exps, reverse=True))
+
+
+@settings(deadline=None)
+@given(partition_strategy(max_size=7), st.integers(min_value=0, max_value=8))
+def test_kostka_is_the_dominant_part_of_the_tableau_counts(lam, n):
+    assert _kostka(lam.parts, n) == dominant_part(_tableau_schur_terms(lam.parts, n))
+
+
+def test_characters_suite_checks_the_kostka_rows():
+    report = run_verify("characters", 3, 8)
+    (result,) = [r for r in report.results if r.name == "kostka_agree"]
+    assert result.passed and result.params == {"max_size": 6, "max_vars": 6}
+
+
+def test_kostka_agree_catches_rows_without_the_dominance_filter(monkeypatch):
+    import fockspace.verify as verify_module
+
+    # every exponent vector, dominant or not: the branching rule unfiltered
+    monkeypatch.setattr(verify_module, "_kostka", _schur_terms)
+    assert check_kostka_agree(6, 6) == "lambda=[1], n=2"
+
+
+def test_a_dropped_schur_term_fails_both_schur_oracles(monkeypatch):
+    import fockspace.verify as verify_module
+
+    monkeypatch.setattr(verify_module, "_schur_terms", lambda shape, n: _schur_terms(shape, n)[:-1])
+    failed = {
+        r.name: r.counterexample for r in run_verify("characters", 3, 4).results if not r.passed
+    }
+    assert failed == {"schur_tableaux_agree": "lambda=[], n=0", "kostka_agree": "lambda=[], n=0"}
+
+
 def test_schur_matches_jacobi_trudi():
     for n in range(5):
         for lam in partitions_up_to(5):
@@ -140,11 +176,37 @@ def test_schur_expand_rejects_an_uncancelled_leading_term(monkeypatch):
     import fockspace.characters as characters_module
 
     product = schur(P((1,)), 3) * schur(P((2, 1)), 3)
-    monkeypatch.setattr(
-        characters_module, "_schur_terms", lambda shape, n: _schur_terms(shape, n)[:-1]
-    )
+    monkeypatch.setattr(characters_module, "_kostka", lambda shape, n: _kostka(shape, n)[:-1])
     with deadline(30), pytest.raises(
         ArithmeticError, match=r"^s_\[3, 1\] does not cancel its leading term \(3, 1, 0\)$"
+    ):
+        schur_expand(product)
+
+
+def test_schur_expand_rejects_a_row_above_its_leading_term(monkeypatch):
+    import fockspace.characters as characters_module
+
+    def with_a_larger_term(shape, n):
+        return _kostka(shape, n) + (((9,) + (0,) * (n - 1), 1),)
+
+    product = schur(P((1,)), 3) * schur(P((2, 1)), 3)
+    monkeypatch.setattr(characters_module, "_kostka", with_a_larger_term)
+    with deadline(30), pytest.raises(
+        ArithmeticError, match=r"^s_\[3, 1\] leaves \(9, 0, 0\) above its leading term \(3, 1, 0\)$"
+    ):
+        schur_expand(product)
+
+
+def test_schur_expand_rejects_a_leading_term_that_is_not_a_partition(monkeypatch):
+    import fockspace.characters as characters_module
+
+    def with_a_term_out_of_order(shape, n):
+        return _kostka(shape, n) + (((0, 1, 3), 1),)
+
+    product = schur(P((1,)), 3) * schur(P((2, 1)), 3)
+    monkeypatch.setattr(characters_module, "_kostka", with_a_term_out_of_order)
+    with deadline(30), pytest.raises(
+        ArithmeticError, match=r"^leading exponent \(0, 1, 3\) is not a partition$"
     ):
         schur_expand(product)
 
@@ -166,6 +228,12 @@ def test_pieri_matches_addable_boxes():
                 reverse=True,
             )
             assert pieri_mult(lam, n) == expected
+
+
+def test_pieri_and_branch_do_not_depend_on_n_past_their_stable_range():
+    for lam in partitions_up_to(6):
+        assert pieri_mult(lam, 10**4) == pieri_mult(lam, lam.size + 1)
+        assert branch_r1(lam, 10**4) == branch_r1(lam, lam.size)
 
 
 @pytest.mark.parametrize("e", [0, 2, 3])

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from conftest import deadline
 from fockspace import cli
 from fockspace.cli import main
-from fockspace.partitions import Partition, partitions_of
+from fockspace.partitions import (
+    Partition,
+    add_box,
+    addable_boxes,
+    partitions_of,
+    remove_box,
+    removable_boxes,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -208,6 +215,21 @@ def test_branch_and_pieri_commands(capsys):
     assert code == 0 and json.loads(out) == ["[3,1]", "[2,2]", "[2,1,1]"]
 
 
+def test_pieri_and_branch_print_the_box_enumeration_up_to_size_7(capsys):
+    for k in range(1, 8):
+        for p in partitions_of(k):
+            removed = sorted((remove_box(p, b) for b in removable_boxes(p)), reverse=True)
+            for n in (k, k + 1, k + 4):
+                added = sorted((add_box(p, b) for b in addable_boxes(p) if b.row <= n), reverse=True)
+                for command, shapes in (("pieri", added), ("branch", removed)):
+                    got = run_cli(capsys, command, "--partition", str(p), "--n", str(n))
+                    assert got == (0, json.dumps([str(q) for q in shapes]) + "\n", "")
+
+
+def test_branch_of_one_box_in_1500_variables(capsys):
+    assert run_cli(capsys, "branch", "--partition", "[1]", "--n", "1500") == (0, '["[]"]\n', "")
+
+
 def test_hecke_normal_form_command(capsys):
     code, out, _ = run_cli(
         capsys, "hecke", "normal-form", "--rank", "2", "--expr", "t1*y2*t1"
@@ -339,9 +361,9 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_verify_names_a_schur_expansion_that_does_not_cancel(monkeypatch, capsys):
     import fockspace.characters as characters_module
 
-    original = characters_module._schur_terms
-    # drop the leading (largest) term of every Schur polynomial
-    monkeypatch.setattr(characters_module, "_schur_terms", lambda shape, n: original(shape, n)[:-1])
+    original = characters_module._kostka
+    # drop the leading (largest) term of every Kostka row the expansion subtracts
+    monkeypatch.setattr(characters_module, "_kostka", lambda shape, n: original(shape, n)[:-1])
     with deadline(30):
         code, out, err = run_cli(capsys, "verify", "--modulus", "3", "--max-size", "4", "--suite", "characters")
     assert code == 1 and err == ""
@@ -620,6 +642,24 @@ def test_a_size_at_its_work_limit_is_accepted(monkeypatch, capsys, argv, flag, b
     assert (code, err, seen) == (0, "", [bound])
 
 
+@pytest.mark.parametrize("command, engine", [("pieri", "pieri_mult"), ("branch", "branch_r1")])
+def test_a_partition_over_the_character_limit_is_a_usage_error(monkeypatch, capsys, command, engine):
+    bound = cli.MAX_CHARACTER_SIZE
+    monkeypatch.setattr(cli, engine, lambda p, n: pytest.fail("the engine ran"))
+    code, out, err = run_cli(capsys, command, "--partition", f"[{bound},1]", "--n", "99")
+    assert (code, out) == (2, "")
+    assert err == f"error: the size of --partition must be at most {bound}, got {bound + 1}\n"
+
+
+@pytest.mark.parametrize("command, engine", [("pieri", "pieri_mult"), ("branch", "branch_r1")])
+def test_a_partition_at_the_character_limit_is_accepted(monkeypatch, capsys, command, engine):
+    bound = cli.MAX_CHARACTER_SIZE
+    seen = []
+    monkeypatch.setattr(cli, engine, lambda p, n: seen.append((p.size, n)) or [Partition((1,))])
+    code, out, err = run_cli(capsys, command, "--partition", f"[{bound - 1},1]", "--n", "99")
+    assert (code, out, err, seen) == (0, '["[1]"]\n', "", [(bound, 99)])
+
+
 def test_work_limits_cover_every_documented_and_benchmarked_size():
     """The README, this file and the benchmark workloads stay within the limits."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -631,11 +671,15 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
         argv for name in workloads.WORKLOADS for argv in workloads.requests_for(name, 1)
     ]
     sizes = {"--max-size": [], "--degree": []}
+    character_sizes = []
     for argv in requests:
         if argv[:1] == ["crystal"] or argv[:2] == ["fock", "op-matrix"]:
             for flag, values in sizes.items():
                 if flag in argv[:-1] and argv[argv.index(flag) + 1].isdigit():
                     values.append(int(argv[argv.index(flag) + 1]))
-    assert 22 in sizes["--max-size"] and 23 in sizes["--degree"]
+        if argv[:1] in (["pieri"], ["branch"]) and "--partition" in argv[:-1]:
+            character_sizes.append(Partition.parse(argv[argv.index("--partition") + 1]).size)
+    assert 22 in sizes["--max-size"] and 23 in sizes["--degree"] and 6 in character_sizes
     assert max(sizes["--max-size"]) <= cli.MAX_CRYSTAL_SIZE
     assert max(sizes["--degree"]) <= cli.MAX_OP_DEGREE
+    assert max(character_sizes) <= cli.MAX_CHARACTER_SIZE
