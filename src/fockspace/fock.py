@@ -40,6 +40,18 @@ class FockVector:
                     self.terms[p] = int(c)
 
     @classmethod
+    def _trusted(cls, terms: Mapping[Partition, int]) -> "FockVector":
+        """Wrap integer coefficients on keys known to be partitions; only zeros go.
+
+        Skips the constructor's checks.  Only for the results of arithmetic
+        and of the operators on vectors that were already checked; any other
+        input goes through ``FockVector(...)``.
+        """
+        v = object.__new__(cls)
+        v.terms = {p: c for p, c in terms.items() if c}
+        return v
+
+    @classmethod
     def basis(cls, p: Partition) -> "FockVector":
         return cls({p: 1})
 
@@ -60,7 +72,7 @@ class FockVector:
         out = dict(self.terms)
         for p, c in other.terms.items():
             out[p] = out.get(p, 0) + c
-        return FockVector(out)
+        return FockVector._trusted(out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-1) * other
@@ -69,7 +81,9 @@ class FockVector:
         return (-1) * self
 
     def __rmul__(self, scalar: int) -> "FockVector":
-        return FockVector({p: scalar * c for p, c in self.terms.items()})
+        if not isinstance(scalar, int):  # the coefficients stay integers
+            return NotImplemented
+        return FockVector._trusted({p: scalar * c for p, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FockVector) and self.terms == other.terms
@@ -97,7 +111,7 @@ def _move_boxes(v: FockVector, i: int, e: int, step: int) -> FockVector:
             if sign == wanted:
                 q = _edit_row(p, b.row, step)
                 out[q] = out.get(q, 0) + c
-    return FockVector(out)
+    return FockVector._trusted(out)
 
 
 def apply_f(v: FockVector, i: int, e: int) -> FockVector:
@@ -113,7 +127,7 @@ def apply_e(v: FockVector, i: int, e: int) -> FockVector:
 def apply_h(v: FockVector, i: int, e: int) -> FockVector:
     """Diagonal action v_p -> n_i(p) * v_p."""
     i = canonical_residue(i, e)
-    return FockVector({p: n_value(p, i, e) * c for p, c in v.terms.items()})
+    return FockVector._trusted({p: n_value(p, i, e) * c for p, c in v.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -220,7 +234,7 @@ def op_matrix(kind: str, i: int, e: int, d: int) -> SparseMatrix:
     apply = _OPERATORS[kind]
     entries: dict[tuple[int, int], int] = {}
     for c_idx, p in enumerate(cols):
-        image = apply(FockVector.basis(p), i, e)
+        image = apply(FockVector._trusted({p: 1}), i, e)
         for q, coeff in image.terms.items():
             entries[(row_index[q], c_idx)] = coeff
     return SparseMatrix.build(rows, cols, entries)

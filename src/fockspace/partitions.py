@@ -300,6 +300,17 @@ def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box],
     return hooks
 
 
+def _from_beads(beads: list[int]) -> Partition:
+    """The partition whose k rows hold the given distinct beads >= 0, in any order.
+
+    Sorted b_0 > ... > b_{k-1}, row j has b_j - (k - 1 - j) boxes: distinct
+    beads make the rows weakly decreasing and >= 0, and the empty ones go.
+    """
+    k = len(beads)
+    rows = (b - (k - 1 - j) for j, b in enumerate(sorted(beads, reverse=True)))
+    return Partition._trusted(tuple(x for x in rows if x))
+
+
 def core_and_weight(p: Partition, e: int) -> tuple[Partition, int]:
     """The e-core of p and the number of rim e-hooks removed to reach it.
 
@@ -320,8 +331,7 @@ def core_and_weight(p: Partition, e: int) -> tuple[Partition, int]:
         top[runner] = free = top.get(runner, -1) + 1
         slid.append(runner + e * free)
         hooks_removed += level - free
-    slid.sort(reverse=True)
-    core = Partition([x for x in (b - (k - 1 - j) for j, b in enumerate(slid)) if x])
+    core = _from_beads(slid)
     if p.size != core.size + e * hooks_removed:
         raise ArithmeticError(f"|{p}| != |{core}| + {e} * {hooks_removed}")
     if removable_rim_hooks(core, e):

@@ -51,7 +51,6 @@ from .fock import (
     SparseMatrix,
     apply_e,
     apply_f,
-    apply_h,
     cartan_entry,
     op_matrix,
     weight,
@@ -84,22 +83,107 @@ DEFAULT_SEED = 20240801
 
 
 # ---------------------------------------------------------------------------
+# Graded operator matrices
+#
+# The relation checks compare e_i, f_i and h_i as matrices, one graded piece
+# at a time.  A matrix out of degree d is held in column form: one
+# {row index: coefficient} dict per partition of d, in the order of
+# partitions_of(d), or None when it is zero.  Its rows index the partitions
+# of the target degree in the same order, so a product is composition.
+
+Columns = list[dict[int, int]]
+
+
+def _op_columns(e: int) -> Callable[[str, int, int], Optional[Columns]]:
+    """A getter for op_matrix(kind, i, e, d) in column form, each built once.
+
+    Degrees below zero have no partitions, so their matrices are zero.
+    """
+    built: dict[tuple[str, int, int], Optional[Columns]] = {}
+
+    def get(kind: str, i: int, d: int) -> Optional[Columns]:
+        key = (kind, i, d)
+        if key not in built:
+            built[key] = None
+            if d >= 0 and (m := op_matrix(kind, i, e, d)).entries:
+                built[key] = cols = [{} for _ in m.cols]
+                for r, c, v in m.entries:
+                    cols[c][r] = v
+        return built[key]
+
+    return get
+
+
+def _product(a: Optional[Columns], b: Optional[Columns]) -> Optional[Columns]:
+    """The product a*b of two matrices in column form; None stands for zero."""
+    if a is None or b is None:
+        return None
+    out: Columns = []
+    for col in b:
+        acc: dict[int, int] = {}
+        for r, v in col.items():
+            for s, w in a[r].items():
+                acc[s] = acc.get(s, 0) + v * w
+        out.append({s: x for s, x in acc.items() if x})
+    return out if any(out) else None
+
+
+Relation = Iterator[tuple[int, int, list[tuple[int, Optional[Columns]]]]]
+
+
+def _first_counterexample(
+    e: int, max_size: int, relation: Callable[[int], Relation]
+) -> Optional[str]:
+    """The first basis vector on which a graded relation fails, or None.
+
+    ``relation(d)`` yields ``(i, j, terms)`` in the order the relation is
+    read per basis vector; it holds on v_lambda, |lambda| = d, when column
+    lambda of sum(coeff * matrix for coeff, matrix in terms) is zero.  The
+    report names the smallest failing (lambda, then yield order), which is
+    the first failure of the loop over lambda, then (i, j).
+    """
+    for d in range(max_size + 1):
+        lams = partitions_of(d)
+        first = None
+        for i, j, terms in relation(d):
+            terms = [(k, m) for k, m in terms if k and m is not None]
+            # a later column than the first failure so far is never reported
+            for c in range(len(lams) if first is None else first[0]):
+                acc: dict[int, int] = {}
+                for k, m in terms:
+                    for r, v in m[c].items():
+                        acc[r] = acc.get(r, 0) + k * v
+                if any(acc.values()):
+                    first = (c, i, j)
+                    break
+        if first is not None:
+            c, i, j = first
+            return f"lambda={lams[c]}, i={i}, j={j}, e={e}"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Kac-Moody module checks
 
 
 def check_commutators(e: int, max_size: int) -> Optional[str]:
-    """[e_i, f_j] = delta_ij n_i on every basis vector of size <= max_size."""
+    """[e_i, f_j] = delta_ij n_i on every basis vector of size <= max_size.
+
+    Per degree d: E_i(d+1) F_j(d) - F_j(d-1) E_i(d) = delta_ij H_i(d).
+    """
     window = residue_window(e, max_size)
-    for lam in partitions_up_to(max_size):
-        v = FockVector.basis(lam)
+    op = _op_columns(e)
+
+    def relation(d: int) -> Relation:
         for i in window:
-            ei_v = apply_e(v, i, e)
             for j in window:
-                lhs = apply_e(apply_f(v, j, e), i, e) - apply_f(ei_v, j, e)
-                rhs = (n_value(lam, i, e) if i == j else 0) * v
-                if lhs != rhs:
-                    return f"lambda={lam}, i={i}, j={j}, e={e}"
-    return None
+                yield i, j, [
+                    (1, _product(op("e", i, d + 1), op("f", j, d))),
+                    (-1, _product(op("f", j, d - 1), op("e", i, d))),
+                    (-1 if i == j else 0, op("h", i, d)),
+                ]
+
+    return _first_counterexample(e, max_size, relation)
 
 
 def check_weight_ladder(e: int, max_size: int) -> Optional[str]:
@@ -172,43 +256,58 @@ def check_residue_partition(e: int, max_size: int) -> Optional[str]:
 
 
 def check_cartan_action(e: int, max_size: int) -> Optional[str]:
-    """[h_i, e_j] = a_ij e_j on every basis vector of size <= max_size."""
+    """[h_i, e_j] = a_ij e_j on every basis vector of size <= max_size.
+
+    Per degree d: H_i(d-1) E_j(d) - E_j(d) H_i(d) = a_ij E_j(d).
+    """
     window = residue_window(e, max_size)
-    for lam in partitions_up_to(max_size):
-        v = FockVector.basis(lam)
+    op = _op_columns(e)
+
+    def relation(d: int) -> Relation:
         for j in window:
-            ej_v = apply_e(v, j, e)
+            ej = op("e", j, d)
             for i in window:
-                lhs = apply_h(ej_v, i, e) - apply_e(apply_h(v, i, e), j, e)
-                rhs = cartan_entry(i, j, e) * ej_v
-                if lhs != rhs:
-                    return f"lambda={lam}, i={i}, j={j}, e={e}"
-    return None
+                yield i, j, [
+                    (1, _product(op("h", i, d - 1), ej)),
+                    (-1, _product(ej, op("h", i, d))),
+                    (-cartan_entry(i, j, e), ej),
+                ]
+
+    return _first_counterexample(e, max_size, relation)
 
 
 def check_serre(e: int, max_size: int) -> Optional[str]:
-    """ad(e_i)^{1 - a_ij}(e_j) annihilates every small basis vector."""
+    """ad(e_i)^{1 - a_ij}(e_j) annihilates every small basis vector.
+
+    Per degree d and i != j, with m = 1 - a_ij:
+    sum_k (-1)^k C(m,k) E_i^{m-k} E_j E_i^k = 0.
+    """
     window = residue_window(e, max_size)
     pairs = [(i, j, 1 - cartan_entry(i, j, e)) for i in window for j in window if i != j]
-    for lam in partitions_up_to(max_size):
-        v = FockVector.basis(lam)
+    op = _op_columns(e)
+    powers: dict[tuple[int, int, int], Optional[Columns]] = {}
+
+    def power(i: int, k: int, d: int) -> Optional[Columns]:
+        """E_i^k out of degree d."""
+        if (i, k, d) not in powers:
+            if k == 0:
+                powers[i, k, d] = [{c: 1} for c in range(len(partitions_of(d)))] or None
+            else:
+                powers[i, k, d] = _product(op("e", i, d - k + 1), power(i, k - 1, d))
+        return powers[i, k, d]
+
+    def relation(d: int) -> Relation:
         for i, j, m in pairs:
-            # sum_k (-1)^k C(m,k) e_i^{m-k} e_j e_i^k
-            total = FockVector.zero()
+            terms = []
             sign, binom = 1, 1
             for k in range(m + 1):
-                term = v
-                for _ in range(k):
-                    term = apply_e(term, i, e)
-                term = apply_e(term, j, e)
-                for _ in range(m - k):
-                    term = apply_e(term, i, e)
-                total = total + (sign * binom) * term
+                inner = _product(op("e", j, d - k), power(i, k, d))
+                terms.append((sign * binom, _product(power(i, m - k, d - k - 1), inner)))
                 sign = -sign
                 binom = binom * (m - k) // (k + 1)
-            if not total.is_zero():
-                return f"lambda={lam}, i={i}, j={j}, e={e}"
-    return None
+            yield i, j, terms
+
+    return _first_counterexample(e, max_size, relation)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from fockspace.partitions import (
     remove_box,
     removable_boxes,
 )
+from fockspace.verify import VerifyReport
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -594,6 +595,59 @@ def test_crystal_output_is_pinned(capsys, modulus, max_size, fmt):
     assert digest == CRYSTAL_STDOUT_SHA256[modulus, max_size, fmt]
 
 
+# sha256 of the stdout of verify --suite all at every modulus of the
+# verify_sweep workload and every --max-size up to the benchmark's 8,
+# recorded from the relation checks that applied e_i, f_i and h_i to one
+# basis vector at a time.
+VERIFY_STDOUT_SHA256 = {
+    ("0", "0"): "46b459e392b7d86fcd891e26c8a15272b28a09af41869953fe5691628c103943",
+    ("0", "1"): "1a4017769b9ac664b97c201224cc47f903d634a07095f36db60f92001439b4bb",
+    ("0", "2"): "0a7f60eee60f7abfd51ae8fa2dc78167a130a11675306d4486355b3b151f978c",
+    ("0", "3"): "c6ed5951f6ef9c72ec834e34edb1775a5cf845dae2e4f869e696a3a0dbf7e73c",
+    ("0", "4"): "7ef01f5e144353d36ed3e23321ac25204605de99d13941b258d0f6f3f4c458d6",
+    ("0", "5"): "0684c428ac5b6bf5ce31bf147aade919bf6238edb194575e78dd585e9b8c3805",
+    ("0", "6"): "29a535d5b0ccf7445708af5a25af0d09a5961c24b50409d0360c528be6def071",
+    ("0", "7"): "f661f32c827c45f35b77d90dbd3c780c4c871d712cd46f988ad5b199f6906b6b",
+    ("0", "8"): "eab4ca0d3995180474f5e9af21f5e8774337b1bdf90006892777fbaa78ab6178",
+    ("2", "0"): "0fed771987be5d0c6f35f3372991d0ff289894f43b72bf74090e67a737de6843",
+    ("2", "1"): "eb34c7605d66ea7f292ee61db9539b4dc03f27d8629ddc3ea5e8c1d88037b3e6",
+    ("2", "2"): "b7d53163acaa48dd8d4200cab9a6e0fe72365a60bb434e8ca0d880acfd8db45f",
+    ("2", "3"): "8f85a7a639c6b0764ceb81c059672e61bd5c0ee12693cd819242d26d986efd51",
+    ("2", "4"): "e403b151d5a4fb92d4714efcf80871d9843107537db43fe34c6171067c5fd187",
+    ("2", "5"): "419ae60473a92a78e7582d96b272502d6dbe32b0a94ae62b4318f9ce9a83721b",
+    ("2", "6"): "f75f174e576eec4e71d43e0a5ad0adc87d98d5505380440656a606bb7b209add",
+    ("2", "7"): "6a25728c222dba30702ce366e3d3b9b260b600065ddc68d604bf26dd3395d372",
+    ("2", "8"): "a62016597374ba546c6fadea7d1a783aa9206a13c6ea97073e673fcb13695b1d",
+    ("3", "0"): "a72dd167e27eca227d05349475c049e092b23682b2a4ff3da6a7f66546d1e84a",
+    ("3", "1"): "5c368a24d1fdc817a33c8ba1df8e26c2119c84e649cbba3ce7664782b052fed8",
+    ("3", "2"): "19e835200da6d1f8d63433fba12551c3e6944fdbc7da7f5bdf21a3f0391a4006",
+    ("3", "3"): "8034dfe0e1dad315fd77baee41c74fec8f0f03ce271e1660ce25053e4e5ca6eb",
+    ("3", "4"): "4daf549949e63d115bea6c9c0ece3a8c2c39133a50a22ba8613ff19b45ab6e6e",
+    ("3", "5"): "04ea9c2a50c48e89f777ce5286b7861145ed864d22865388cfef1f3c9e3f69d9",
+    ("3", "6"): "b3bec08dd28ce952d02a328c8626a6907e119da164f9a51ea8637f5908fe2a8d",
+    ("3", "7"): "fd5c020e430a572fdcbd20064a6098c00f3e7c17757685fd40ff5fbe4d872b91",
+    ("3", "8"): "62767ddcb755730e8982249c9a61a792fc776f0ebcd4023f001601667ffb8a13",
+    ("5", "0"): "7140d113c21faed8b736db63f0aa960b6bc86ac6b26507c98bb7ca38b36cc48a",
+    ("5", "1"): "edcdcfb41aebfaf0d3085c80e9ed5855fc3e0f348eb7ad4b7240dc315ecb6f00",
+    ("5", "2"): "15180d58b6616a0d7a1d79f20b8455767500a6813228a09854fafe71aacff0db",
+    ("5", "3"): "6dfc018dbb67d41e0a5edc4f807b7b78eda5b2866f34cc45f63e9ccbf183f4f4",
+    ("5", "4"): "81b4b09d216f38ae5e55bb9a736cb36f30a65ac27f603a6d2c33e3b4cdbd9088",
+    ("5", "5"): "01459981d4bb922495edba74dd2e9d8d073bd2ed1686c1e6b87bebb3b04710c8",
+    ("5", "6"): "26ab4e0f0611b2902c2412aff545d5a496f4c63a5e0174556193b1095c7be413",
+    ("5", "7"): "fa428936268908796bdf24e32701778e38af4a9ca441ca0217b9165e78256f7d",
+    ("5", "8"): "f97caa292366a9a3fb5faadeb64dbfe15c2c8830e1455fdba09b7342e76f0f1a",
+}
+
+
+@pytest.mark.parametrize("modulus, max_size", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_output_is_pinned(capsys, modulus, max_size):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "all", "--modulus", modulus, "--max-size", max_size
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[modulus, max_size]
+
+
 def _always_add_a_box(p, i, e):
     return Partition((p.row(1) + 1, *p.parts[1:]))
 
@@ -622,6 +676,7 @@ WORK_LIMITS = [
         "--degree",
         cli.MAX_OP_DEGREE,
     ),
+    (["verify", "--suite", "all", "--modulus", "0", "--max-size"], "--max-size", cli.MAX_VERIFY_SIZE),
 ]
 
 
@@ -638,6 +693,9 @@ def test_a_size_at_its_work_limit_is_accepted(monkeypatch, capsys, argv, flag, b
     small_graph, small_matrix = cli.crystal_graph(2, 1), cli.op_matrix("e", 0, 3, 1)
     monkeypatch.setattr(cli, "crystal_graph", lambda e, d: seen.append(d) or small_graph)
     monkeypatch.setattr(cli, "op_matrix", lambda op, i, e, d: seen.append(d) or small_matrix)
+    monkeypatch.setattr(
+        cli, "run_verify", lambda suite, e, d, seed: seen.append(d) or VerifyReport(e, d, seed, ())
+    )
     code, _, err = run_cli(capsys, *argv, str(bound))
     assert (code, err, seen) == (0, "", [bound])
 
@@ -671,8 +729,12 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
         argv for name in workloads.WORKLOADS for argv in workloads.requests_for(name, 1)
     ]
     sizes = {"--max-size": [], "--degree": []}
-    character_sizes = []
+    character_sizes, verify_sizes = [], []
     for argv in requests:
+        if argv[:1] == ["verify"] and "--max-size" in argv[:-1]:
+            value = argv[argv.index("--max-size") + 1]
+            if value.isdigit():
+                verify_sizes.append(int(value))
         if argv[:1] == ["crystal"] or argv[:2] == ["fock", "op-matrix"]:
             for flag, values in sizes.items():
                 if flag in argv[:-1] and argv[argv.index(flag) + 1].isdigit():
@@ -683,3 +745,4 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
     assert max(sizes["--max-size"]) <= cli.MAX_CRYSTAL_SIZE
     assert max(sizes["--degree"]) <= cli.MAX_OP_DEGREE
     assert max(character_sizes) <= cli.MAX_CHARACTER_SIZE
+    assert 8 in verify_sizes and max(verify_sizes) <= cli.MAX_VERIFY_SIZE

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import partition_strategy
 from fockspace.fock import (
     FockVector,
     Weight,
@@ -10,7 +13,18 @@ from fockspace.fock import (
     op_matrix,
     weight,
 )
-from fockspace.partitions import Partition, m_count, n_value, partitions_up_to, residue_window
+from fockspace.partitions import (
+    MINUS,
+    PLUS,
+    Partition,
+    add_box,
+    i_corners,
+    m_count,
+    n_value,
+    partitions_up_to,
+    remove_box,
+    residue_window,
+)
 
 P = Partition
 basis = FockVector.basis
@@ -130,3 +144,54 @@ def test_n_value_matches_cartan_pairing(e):
             pairing = (1 if i % e == 0 else 0) if e else (1 if i == 0 else 0)
             pairing -= sum(m_count(lam, j, e) * cartan_entry(i, j, e) for j in window)
             assert pairing == n_value(lam, i, e)
+
+
+def test_the_constructor_still_rejects_keys_that_are_not_partitions():
+    with pytest.raises(TypeError, match=r"keys must be partitions, got \(2, 1\)"):
+        FockVector({(2, 1): 1})
+
+
+vectors = st.dictionaries(partition_strategy(5), st.integers(-3, 3), max_size=6)
+
+
+def _checked_sum(*scaled):
+    """sum(k * v) built term by term and passed through the checked constructor."""
+    out = {}
+    for k, terms in scaled:
+        for p, c in terms.items():
+            out[p] = out.get(p, 0) + k * c
+    return FockVector(out)
+
+
+def _is_checked(v):
+    return all(type(p) is Partition and type(c) is int and c for p, c in v.terms.items())
+
+
+@given(vectors, vectors, st.integers(-3, 3), st.sampled_from([0, 2, 3, 5]), st.integers(-6, 6))
+def test_trusted_results_equal_the_checked_constructor(a, b, k, e, i):
+    va, vb = FockVector(a), FockVector(b)
+    assert FockVector._trusted(a) == va and FockVector._trusted(a).terms == va.terms
+    moved = {}
+    for step, sign, edit in ((1, PLUS, add_box), (-1, MINUS, remove_box)):
+        moved[step] = {}
+        for p, c in va.terms.items():
+            for corner, box in i_corners(p, i, e):
+                if corner == sign:
+                    q = edit(p, box)
+                    moved[step][q] = moved[step].get(q, 0) + c
+    results = [
+        (va + vb, _checked_sum((1, a), (1, b))),
+        (va - vb, _checked_sum((1, a), (-1, b))),
+        (k * va, _checked_sum((k, a))),
+        (-va, _checked_sum((-1, a))),
+        (apply_f(va, i, e), FockVector(moved[1])),
+        (apply_e(va, i, e), FockVector(moved[-1])),
+        (apply_h(va, i, e), FockVector({p: n_value(p, i, e) * c for p, c in a.items()})),
+    ]
+    for trusted, checked in results:
+        assert trusted.terms == checked.terms and _is_checked(trusted)
+
+
+def test_a_scalar_that_is_not_an_integer_is_refused():
+    with pytest.raises(TypeError):
+        0.5 * basis(P((1,)))

@@ -299,7 +299,10 @@ def test_core_and_weight_rejects_a_core_of_the_wrong_size(monkeypatch):
     import fockspace.partitions as partitions_module
 
     # the core [1] of [4] mod 3 read off the beads with its first row lost
-    monkeypatch.setattr(partitions_module, "Partition", lambda parts: Partition(parts[1:]))
+    read_off = partitions_module._from_beads
+    monkeypatch.setattr(
+        partitions_module, "_from_beads", lambda beads: Partition(read_off(beads).parts[1:])
+    )
     with pytest.raises(ArithmeticError, match=r"\|\[4\]\| != \|\[\]\| \+ 3 \* 1"):
         core_and_weight(Partition((4,)), 3)
 
@@ -346,3 +349,10 @@ def test_trusted_call_sites_return_checked_partitions(lam):
 def test_partitions_of_returns_checked_partitions():
     for d in range(16):
         assert all(_is_checked_partition(p) for p in partitions_of(d))
+
+
+@settings(deadline=None)
+@given(large_partition_strategy(200), st.sampled_from([2, 3, 5]))
+def test_core_read_off_the_beads_is_a_checked_partition(lam, e):
+    core, hooks_removed = core_and_weight(lam, e)
+    assert _is_checked_partition(core) and lam.size == core.size + e * hooks_removed, lam
