@@ -31,20 +31,29 @@ from .verify import DEFAULT_SEED, SUITES, run_verify
 PROFILE_ROWS = 25
 
 # Work limits: the largest --max-size of crystal and verify, --degree of
-# fock op-matrix and partition size of pieri and branch that a request may
-# ask for.  On a 2-vCPU VM with Python 3.11, crystal --modulus 0 --max-size
-# 30 (28,629 nodes) takes about 2.5 s and 190 MB, fock op-matrix --op f
-# --degree 40 (37,338 columns) about 1.3 s, and the slowest pieri of 22
-# boxes found (301 shapes with at most 6 rows tried, [11,5,3,2,1]) about
-# 1.1 s and 85 MB; at 20 boxes every shape takes at most 0.5 s, at 24 the
-# slowest found 2.1 s.  The work of pieri and branch does not grow with --n.
+# fock op-matrix and blocks, --modulus of verify and partition size of pieri
+# and branch that a request may ask for.  On a 2-vCPU VM with Python 3.11,
+# crystal --modulus 0 --max-size 30 (28,629 nodes) takes about 2.5 s and
+# 190 MB, fock op-matrix --op f --degree 40 (37,338 columns) about 1.3 s,
+# and the slowest pieri of 22 boxes found (301 shapes with at most 6 rows
+# tried, [11,5,3,2,1]) about 1.1 s and 85 MB; at 20 boxes every shape takes
+# at most 0.5 s, at 24 the slowest found 2.1 s.  The work of pieri and
+# branch does not grow with --n.
 # verify --suite all --modulus 0 --max-size 12 takes 1.2-2.6 s (the host's
 # speed drifts) and 22 MB, 0.3-0.6 s at moduli 2, 3 and 5; 14 takes about
-# 2.3 times as long as 12, and 16 about 4.5 times.
+# 2.3 times as long as 12, and 16 about 4.5 times.  blocks --degree 38
+# takes 1.5 s and 159 MB at modulus 0 and 2.1-2.2 s and 163-172 MB at the
+# moduli above 38, where every partition is its own block (degree 40: 2.3 s
+# at modulus 0, 3.2 s and 244 MB at modulus 1000).  The relation checks of
+# verify visit every pair of residues, so its work grows with the square of
+# --modulus whatever --max-size is: --max-size 12 takes 1.4 s at modulus
+# 15, 1.8 s at 20 and 2.2 s at 25 (2.2 s at modulus 0 in the same run).
 MAX_CRYSTAL_SIZE = 30
 MAX_OP_DEGREE = 40
 MAX_CHARACTER_SIZE = 22
 MAX_VERIFY_SIZE = 12
+MAX_BLOCKS_DEGREE = 38
+MAX_VERIFY_MODULUS = 20
 
 
 class Option(NamedTuple):
@@ -106,6 +115,7 @@ def _run_op_matrix(args: argparse.Namespace) -> int:
 
 
 def _run_blocks(args: argparse.Namespace) -> int:
+    _check_limit("--degree", args.degree, MAX_BLOCKS_DEGREE)
     layer = blocks(args.degree, args.modulus)
     if args.modulus == 0:
         grouping = None
@@ -165,6 +175,7 @@ def _run_hecke_normal_form(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     _check_limit("--max-size", args.max_size, MAX_VERIFY_SIZE)
+    _check_limit("--modulus", args.modulus, MAX_VERIFY_MODULUS)
     report = run_verify(args.suite, args.modulus, args.max_size, args.seed)
     _emit(json.dumps(report.json_dict(include_timings=args.timings)))
     return 0 if report.passed else 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fock import Weight, weight
+from .fock import Weight
 from .partitions import (
     MINUS,
     PLUS,
@@ -169,12 +169,20 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
 
     f_tilde(p, i) is None unless p has an addable i-box, so each node tries
     only the residues of its addable boxes, in increasing order: the edges
-    come out sorted by source (nodes are ordered by size) and residue.
+    come out sorted by source (nodes are ordered by size) and residue.  A
+    weight is that of an earlier node, p less its last box, plus that box.
     """
     check_modulus(e)
     if d < 0:
         raise ValueError(f"max size must be >= 0, got {d}")
     nodes = partitions_up_to(d)
+    alphas = {(): ()}  # parts -> Weight.alpha
+    for p in nodes[1:]:
+        parts, k = p.parts, len(p.parts)
+        counts = dict(alphas[parts[:-1] + ((parts[-1] - 1,) if parts[-1] > 1 else ())])
+        r = (parts[-1] - k) % e if e else parts[-1] - k  # residue of the last box
+        counts[r] = counts.get(r, 0) + 1
+        alphas[parts] = tuple(sorted(counts.items()))
     edges = []
     for p in nodes:
         if p.size == d:  # the last layer; its f_tilde images lie outside the graph
@@ -187,6 +195,6 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     return CrystalGraph(
         modulus=e,
         max_size=d,
-        nodes=tuple((p, weight(p, e)) for p in nodes),
+        nodes=tuple((p, Weight(e, alphas[p.parts])) for p in nodes),
         edges=tuple(edges),
     )

@@ -12,16 +12,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .partitions import (
-    MINUS,
-    PLUS,
     Partition,
     _edit_row,
-    _i_corners,
     canonical_residue,
     check_modulus,
     n_value,
     partitions_of,
     residue_counts,
+    rim_corners,
 )
 
 
@@ -101,16 +99,22 @@ class FockVector:
         return f"FockVector({body})"
 
 
+def _moves(p: Partition, i: int, e: int, step: int) -> list[Partition]:
+    """p with one i-box added (step 1) or removed (step -1); e checked, i reduced."""
+    return [
+        _edit_row(p, row, step)
+        for sign, row, col in rim_corners(p)
+        if sign == step and ((col - row) % e if e else col - row) == i
+    ]
+
+
 def _move_boxes(v: FockVector, i: int, e: int, step: int) -> FockVector:
     """Add (step 1) or remove (step -1) one i-box in all ways, linearly."""
     i = canonical_residue(i, e)
-    wanted = PLUS if step > 0 else MINUS
     out: dict[Partition, int] = {}
     for p, c in v.terms.items():
-        for sign, b in _i_corners(p, i, e):
-            if sign == wanted:
-                q = _edit_row(p, b.row, step)
-                out[q] = out.get(q, 0) + c
+        for q in _moves(p, i, e, step):
+            out[q] = out.get(q, 0) + c
     return FockVector._trusted(out)
 
 
@@ -211,9 +215,6 @@ class SparseMatrix:
         return ["row,col,coeff"] + [f"{r},{c},{v}" for r, c, v in self.entries]
 
 
-_OPERATORS = {"e": apply_e, "f": apply_f, "h": apply_h}
-
-
 def op_matrix(kind: str, i: int, e: int, d: int) -> SparseMatrix:
     """Matrix of e_i, f_i or h_i out of the degree-d graded piece.
 
@@ -222,19 +223,19 @@ def op_matrix(kind: str, i: int, e: int, d: int) -> SparseMatrix:
     lexicographic order.
     """
     kind = kind.lower()
-    if kind not in _OPERATORS:
+    step = {"e": -1, "f": 1, "h": 0}.get(kind)
+    if step is None:
         raise ValueError(f"operator kind must be one of e, f, h, got {kind!r}")
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    check_modulus(e)
+    i = canonical_residue(i, e)
     cols = partitions_of(d)
-    target = {"e": d - 1, "f": d + 1, "h": d}[kind]
-    rows = partitions_of(target)
-    row_index = {p: k for k, p in enumerate(rows)}
-    apply = _OPERATORS[kind]
-    entries: dict[tuple[int, int], int] = {}
-    for c_idx, p in enumerate(cols):
-        image = apply(FockVector._trusted({p: 1}), i, e)
-        for q, coeff in image.terms.items():
-            entries[(row_index[q], c_idx)] = coeff
+    rows = partitions_of(d + step)
+    if step:
+        row_index = {p.parts: k for k, p in enumerate(rows)}  # tuples hash in C
+        entries = {
+            (row_index[q.parts], c): 1 for c, p in enumerate(cols) for q in _moves(p, i, e, step)
+        }
+    else:
+        entries = {(c, c): n_value(p, i, e) for c, p in enumerate(cols)}
     return SparseMatrix.build(rows, cols, entries)

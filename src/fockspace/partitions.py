@@ -169,11 +169,7 @@ def rim_corners(p: Partition) -> list[tuple[int, int, int]]:
 
 def i_corners(p: Partition, i: int, e: int) -> list[tuple[str, Box]]:
     """The corners of residue i in rim order, tagged PLUS (addable) or MINUS."""
-    return _i_corners(p, canonical_residue(i, e), e)
-
-
-def _i_corners(p: Partition, i: int, e: int) -> list[tuple[str, Box]]:
-    """i_corners for a modulus e already checked and i already reduced mod e."""
+    i = canonical_residue(i, e)
     return [
         (PLUS if sign > 0 else MINUS, Box(row, col))
         for sign, row, col in rim_corners(p)

@@ -595,6 +595,42 @@ def test_crystal_output_is_pinned(capsys, modulus, max_size, fmt):
     assert digest == CRYSTAL_STDOUT_SHA256[modulus, max_size, fmt]
 
 
+# sha256 of the stdout of the benchmark's fock op-matrix requests (its
+# graph_export workload, all at modulus 3), recorded from the builder that
+# applied e_i, f_i or h_i to one basis vector per column.
+OP_MATRIX_STDOUT_SHA256 = {
+    ("e", "0", "23", "json"): "f2c6d29e2e37174da0e95b2f31c29e987b921e04893b9274b7b2da29d239ae19",
+    ("e", "0", "23", "csv"): "b0f9b8aba603af520a5fd3a93a768f85064e9a7f05bcef916cde95111a74e14f",
+    ("e", "1", "23", "json"): "b109cc610327150922bb9690256833c84f407ff1ff33eeb44e5d0307d7d1afbe",
+    ("e", "1", "23", "csv"): "fa9a1b469ea55029663e1fe4c7fb912c6dd332aed78b2d08eaf6b7e611d92fa2",
+    ("e", "2", "23", "json"): "1cfae17bbedeed71dffb0ce2bcf36cf22a599a70d795a36fbc57071abbe23b6f",
+    ("e", "2", "23", "csv"): "fa65c2570de29e8a7c720e62575228861e098ae60b1bdca99072b3fab275c2f6",
+    ("f", "0", "22", "json"): "b9eb8e230339174925b4e50840e7e7a4959d1f99c682f8a572cc03ea1268f518",
+    ("f", "0", "22", "csv"): "82cfbfb685fb5892dd9201c3f45e412df9d26eaa3dab6d92eb45f70246cd4180",
+    ("f", "1", "22", "json"): "87b69039ea8d473887140ea306ba411c895226f8df4ff784c38bb07441b91b3e",
+    ("f", "1", "22", "csv"): "e98ccbd6bd027af2114690dab9991770057116af3450806e0e28573b53449349",
+    ("f", "2", "22", "json"): "e77d30e10285ae1c0b7e2f5c73c55f9633e5ff88219a9e22b1114e35ccd98118",
+    ("f", "2", "22", "csv"): "50003671a68c67522405cdc9be8433bba8f2d51c88890343e41b702adcef85fa",
+    ("h", "0", "22", "json"): "8d7ad9b79a423129920f47bfd47830a94e370be29b43cd6404eefa8e2f423ae3",
+    ("h", "0", "22", "csv"): "5d3a62a996fc641b2ab797ded4727a78d9ad315290ec4ad7409817da48ab89eb",
+    ("h", "1", "22", "json"): "e91fbecaa5249495e4d31e43764e8d54764f82f09730d805bb7591f005aaf505",
+    ("h", "1", "22", "csv"): "a05696d7c219b8cb2739ebcd88ab2ec2a8cd59dfed01f8af841ca464e5c55c65",
+    ("h", "2", "22", "json"): "8c3caa765dea214b3031af805528269913736075a7681102fe4ad6f49dff9625",
+    ("h", "2", "22", "csv"): "55046f3c3ef0b8a7d144aa221eeb668de0c8059755619baef7d525d7d285673e",
+}
+
+
+@pytest.mark.parametrize("op, residue, degree, fmt", sorted(OP_MATRIX_STDOUT_SHA256))
+def test_op_matrix_output_is_pinned(capsys, op, residue, degree, fmt):
+    code, out, err = run_cli(
+        capsys, "fock", "op-matrix", "--op", op, "--residue", residue, "--modulus", "3",
+        "--degree", degree, "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == OP_MATRIX_STDOUT_SHA256[op, residue, degree, fmt]
+
+
 # sha256 of the stdout of verify --suite all at every modulus of the
 # verify_sweep workload and every --max-size up to the benchmark's 8,
 # recorded from the relation checks that applied e_i, f_i and h_i to one
@@ -677,6 +713,8 @@ WORK_LIMITS = [
         cli.MAX_OP_DEGREE,
     ),
     (["verify", "--suite", "all", "--modulus", "0", "--max-size"], "--max-size", cli.MAX_VERIFY_SIZE),
+    (["blocks", "--modulus", "2", "--degree"], "--degree", cli.MAX_BLOCKS_DEGREE),
+    (["verify", "--suite", "all", "--max-size", "0", "--modulus"], "--modulus", cli.MAX_VERIFY_MODULUS),
 ]
 
 
@@ -693,8 +731,12 @@ def test_a_size_at_its_work_limit_is_accepted(monkeypatch, capsys, argv, flag, b
     small_graph, small_matrix = cli.crystal_graph(2, 1), cli.op_matrix("e", 0, 3, 1)
     monkeypatch.setattr(cli, "crystal_graph", lambda e, d: seen.append(d) or small_graph)
     monkeypatch.setattr(cli, "op_matrix", lambda op, i, e, d: seen.append(d) or small_matrix)
+    monkeypatch.setattr(cli, "blocks", lambda d, e: seen.append(d) or [])
     monkeypatch.setattr(
-        cli, "run_verify", lambda suite, e, d, seed: seen.append(d) or VerifyReport(e, d, seed, ())
+        cli,
+        "run_verify",
+        lambda suite, e, d, seed: seen.append(e if flag == "--modulus" else d)
+        or VerifyReport(e, d, seed, ()),
     )
     code, _, err = run_cli(capsys, *argv, str(bound))
     assert (code, err, seen) == (0, "", [bound])
@@ -729,12 +771,17 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
         argv for name in workloads.WORKLOADS for argv in workloads.requests_for(name, 1)
     ]
     sizes = {"--max-size": [], "--degree": []}
-    character_sizes, verify_sizes = [], []
+    verify_values = {"--max-size": [], "--modulus": []}
+    character_sizes, blocks_degrees = [], []
     for argv in requests:
-        if argv[:1] == ["verify"] and "--max-size" in argv[:-1]:
-            value = argv[argv.index("--max-size") + 1]
+        if argv[:1] == ["verify"]:
+            for flag, values in verify_values.items():
+                if flag in argv[:-1] and argv[argv.index(flag) + 1].isdigit():
+                    values.append(int(argv[argv.index(flag) + 1]))
+        if argv[:1] == ["blocks"] and "--degree" in argv[:-1]:
+            value = argv[argv.index("--degree") + 1]
             if value.isdigit():
-                verify_sizes.append(int(value))
+                blocks_degrees.append(int(value))
         if argv[:1] == ["crystal"] or argv[:2] == ["fock", "op-matrix"]:
             for flag, values in sizes.items():
                 if flag in argv[:-1] and argv[argv.index(flag) + 1].isdigit():
@@ -745,4 +792,7 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
     assert max(sizes["--max-size"]) <= cli.MAX_CRYSTAL_SIZE
     assert max(sizes["--degree"]) <= cli.MAX_OP_DEGREE
     assert max(character_sizes) <= cli.MAX_CHARACTER_SIZE
+    verify_sizes, verify_moduli = verify_values["--max-size"], verify_values["--modulus"]
     assert 8 in verify_sizes and max(verify_sizes) <= cli.MAX_VERIFY_SIZE
+    assert 5 in verify_moduli and max(verify_moduli) <= cli.MAX_VERIFY_MODULUS
+    assert 19 in blocks_degrees and max(blocks_degrees) <= cli.MAX_BLOCKS_DEGREE

@@ -16,7 +16,7 @@ from fockspace.crystal import (
     signature,
 )
 from fockspace.crystal import phi as phi_count
-from fockspace.fock import apply_f, FockVector
+from fockspace.fock import apply_f, FockVector, weight
 from fockspace.partitions import (
     Box,
     Partition,
@@ -225,6 +225,12 @@ def _whole_window_edges(e, d):
 def test_crystal_graph_equals_the_whole_window_loop(e):
     for d in range(11):
         assert crystal_graph(e, d).edges == _whole_window_edges(e, d)
+
+
+@pytest.mark.parametrize("e", [0, 2, 3, 5, 7])
+def test_crystal_graph_weights_equal_the_residue_counts(e):
+    for d in range(15):
+        assert crystal_graph(e, d).nodes == tuple((p, weight(p, e)) for p in partitions_up_to(d))
 
 
 def test_tilde_signature_agree_catches_a_wrong_operator(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import partition_strategy
 from fockspace.fock import (
     FockVector,
+    SparseMatrix,
     Weight,
     apply_e,
     apply_f,
@@ -21,6 +22,7 @@ from fockspace.partitions import (
     i_corners,
     m_count,
     n_value,
+    partitions_of,
     partitions_up_to,
     remove_box,
     residue_window,
@@ -96,6 +98,52 @@ def test_matrix_add_requires_matching_bases():
     b = op_matrix("f", 0, 2, 2)
     with pytest.raises(ValueError):
         a + b
+
+
+def _oracle_column(p, kind, i, e):
+    """{image: coeff} of v_p, from the boxes of content = i (mod e) and the checked constructor.
+
+    e and f edit a row by -1 or +1 when the box that moves there, (r, p_r) or
+    (r, p_r + 1), has content = i, and keep what ``Partition(...)`` accepts;
+    h counts the boxes of each residue one box at a time.
+    """
+    def same(c, j):
+        return (c - j) % e == 0 if e else c == j
+
+    if kind == "h":
+        m = {j: sum(same(b.col - b.row, j) for b in p.boxes()) for j in (i - 1, i, i + 1)}
+        return {p: m[i - 1] + m[i + 1] - 2 * m[i] + same(0, i)}
+    step = 1 if kind == "f" else -1
+    out = {}
+    for r in range(1, len(p) + 2):
+        rows = list(p.parts) + [0]
+        col = rows[r - 1] + (step > 0)
+        if col < 1 or not same(col - r, i):
+            continue
+        rows[r - 1] += step
+        while rows and rows[-1] == 0:
+            rows.pop()
+        try:
+            out[P(rows)] = 1
+        except ValueError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("e", [0, 2, 3, 5])
+@pytest.mark.parametrize("kind", ["e", "f", "h"])
+def test_op_matrix_equals_the_brute_force_columns(e, kind):
+    for d in range(11):
+        cols = partitions_of(d)
+        rows = partitions_of(d + {"e": -1, "f": 1, "h": 0}[kind])
+        row_index = {q: k for k, q in enumerate(rows)}
+        for i in residue_window(e, d):
+            entries = {
+                (row_index[q], c): coeff
+                for c, p in enumerate(cols)
+                for q, coeff in _oracle_column(p, kind, i, e).items()
+            }
+            assert op_matrix(kind, i, e, d) == SparseMatrix.build(rows, cols, entries), (d, i)
 
 
 def test_e_f_matrices_are_transposes():

@@ -7,8 +7,10 @@ one basis vector at a time instead; they share only the operators and
 first counterexample, also when a fault is injected into those operators.
 
 The loops reach the operators through the ``fock`` module, and so does
-``op_matrix``; a fault injected into ``fock._move_boxes`` or ``fock.n_value``
-is therefore seen by both forms.
+``op_matrix``.  Both ``apply_e``/``apply_f`` and the e/f columns of
+``op_matrix`` are built on ``fock._moves``, one basis partition at a time,
+and ``apply_h`` and the h diagonal read ``fock.n_value``; a fault injected
+into either is therefore seen by both forms.
 """
 
 import pytest
@@ -98,16 +100,13 @@ def test_matrix_and_loop_forms_pass_together(e):
 
 def drop_e_image(monkeypatch, source, target):
     """e_i of v_source loses its v_target term, for the i that removes that box."""
-    original = fock._move_boxes
+    original = fock._moves
 
-    def move(v, i, e, step):
-        out = original(v, i, e, step)
-        c = v.coefficient(source)
-        if step < 0 and c and target in original(FockVector.basis(source), i, e, step).terms:
-            out = out - c * FockVector.basis(target)
-        return out
+    def moves(p, i, e, step):
+        out = original(p, i, e, step)
+        return [q for q in out if q != target] if step < 0 and p == source else out
 
-    monkeypatch.setattr(fock, "_move_boxes", move)
+    monkeypatch.setattr(fock, "_moves", moves)
 
 
 def shift_h(monkeypatch, *shifted):
