@@ -1,28 +1,27 @@
 """Schur polynomials and the character-level branching and Pieri rules.
 
-Schur polynomials are computed by the branching rule (Macdonald, I (5.11))
+A symmetric polynomial is fixed by its coefficients on dominant (weakly
+decreasing) exponent vectors, s_lam = sum of K_lam,mu m_mu (Macdonald, I §2,
+§6).  ``_kostka`` computes the Kostka row K_lam,. by the branching rule
+(Macdonald, I (5.11))
 
     s_lam(x_1..x_n) = sum of s_mu(x_1..x_{n-1}) * x_n^{|lam/mu|}
 
-over the mu for which lam/mu is a horizontal strip, which is the restriction
-step of the inverse system Lambda = lim Lambda_n; its work grows with the
-number of distinct terms, not with the number of semistandard tableaux.
-Tableau enumeration (in ``verify``) and the Jacobi-Trudi determinant over
-complete homogeneous polynomials are independent second constructions used
-for cross-checking.
+over the mu for which lam/mu is a horizontal strip, restricted to dominant
+vectors.  The prefix of a dominant vector is dominant, so the restriction is
+closed, and the row has at most p(|lam|) entries whatever n is.  The Kostka
+numbers do not depend on n, which is the inverse-limit statement Lambda =
+lim Lambda_n: past |lam| variables the row only gains zeros, so no recursion
+goes deeper than |lam| + 1.  This is the one Schur engine.  The full terms
+of ``schur`` are the distinct rearrangements of each row's mu, each with
+coefficient K_lam,mu; ``pieri_mult`` and ``branch_r1`` work in at most
+|lam| + 1 variables and never build them.  Tableau enumeration (in
+``verify``) and the Jacobi-Trudi determinant over complete homogeneous
+polynomials are independent second constructions used for cross-checking.
 
-A symmetric polynomial is fixed by its coefficients on dominant (weakly
-decreasing) exponent vectors, s_lam = sum of K_lam,mu m_mu (Macdonald, I §2,
-§5).  The prefix of a dominant vector is dominant, so the branching rule
-restricted to dominant vectors is closed: ``_kostka`` gives the Kostka row
-K_lam,. from the rows of smaller shapes in one variable fewer, at most
-p(|lam|) entries whatever n is.  The Kostka numbers do not depend on n, which
-is the inverse-limit statement, so ``pieri_mult`` and ``branch_r1`` work in
-at most |lam| + 1 variables and never build the exponent vectors of s_lam.
 Expanding in the Schur basis reads the dominant terms only: the greatest one
 is the leading term, a partition, and subtracting its Kostka row only leaves
-smaller ones, so the loop terminates.  The public ``schur`` and
-``SymPolynomial`` keep every term.
+smaller ones, so the loop terminates.
 """
 
 from __future__ import annotations
@@ -150,27 +149,51 @@ class SymPolynomial:
 def _schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The sorted (exponent vector, coefficient) pairs of s_shape(x_1..x_n).
 
-    Sub-shapes are memoised for this call only, so the lru cache holds just
-    the requested pairs.
+    Each Kostka row (mu, K_shape,mu) stands for K_shape,mu m_mu, whose terms
+    are the distinct rearrangements of mu.
     """
-    if len(shape) > n:
-        return ()
-    return tuple(sorted(_branch(shape, n, {}).items()))
+    terms = [(exps, k) for mu, k in _kostka(shape, n) for exps in _rearrangements(mu)]
+    terms.sort()
+    return tuple(terms)
+
+
+def _rearrangements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct rearrangements of mu in increasing lexicographic order.
+
+    Next permutation: find the last ascent a_j < a_{j+1}, swap a_j with the
+    last entry greater than it, and reverse the tail after j.
+    """
+    a = sorted(mu)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(a) - 1
+        while a[k] <= a[j]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 @lru_cache(maxsize=4096)
 def _kostka(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The sorted (dominant exponent vector mu, K_shape,mu) pairs of s_shape(x_1..x_n).
 
-    The dominant (weakly decreasing) part of ``_schur_terms(shape, n)``,
-    which fixes the symmetric polynomial: s_shape = sum of K_shape,mu m_mu.
-    These are the rows the Schur expansion subtracts.  Cached like
-    ``_schur_terms``; the value is a tuple, so no caller can change what
-    the cache holds.
+    The dominant (weakly decreasing) part of s_shape, which fixes the
+    symmetric polynomial: s_shape = sum of K_shape,mu m_mu.  No mu has more
+    than |shape| nonzero parts and the Kostka numbers do not depend on n, so
+    past n = |shape| the row is the one in |shape| variables padded with
+    zeros, and the branching rule recurses at most |shape| + 1 deep.  The
+    value is a tuple, so no caller can change what the cache holds.
     """
     if len(shape) > n:
         return ()
-    return tuple(sorted(_dominant_branch(shape, n, 0)))
+    m = min(n, sum(shape))
+    pad = (0,) * (n - m)
+    return tuple(sorted((mu + pad, k) for mu, k in _dominant_branch(shape, m, 0)))
 
 
 def _strips(
@@ -190,24 +213,6 @@ def _strips(
         tail = size - sum(mu)
         if lo <= tail <= hi:
             yield tuple(x for x in mu if x), tail
-
-
-def _branch(
-    shape: tuple[int, ...], n: int, memo: dict[tuple[tuple[int, ...], int], dict]
-) -> dict[tuple[int, ...], int]:
-    """s_shape(x_1..x_n) by the branching rule; needs len(shape) <= n."""
-    if n == 0:
-        return {(): 1}
-    key = (shape, n)
-    if key in memo:
-        return memo[key]
-    terms: dict[tuple[int, ...], int] = {}
-    for mu, tail in _strips(shape, n, 0, sum(shape)):
-        for exps, c in _branch(mu, n - 1, memo).items():
-            exps += (tail,)
-            terms[exps] = terms.get(exps, 0) + c
-    memo[key] = terms
-    return terms
 
 
 @lru_cache(maxsize=1 << 16)
@@ -235,7 +240,7 @@ def _dominant_branch(
 
 
 def schur(p: Partition, n: int) -> SymPolynomial:
-    """The Schur polynomial s_p(x_1..x_n) by the branching rule.
+    """The Schur polynomial s_p(x_1..x_n), every term, from its Kostka row.
 
     Zero when p has more than n rows.
     """

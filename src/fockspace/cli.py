@@ -8,7 +8,8 @@ text and usage error.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
 errors (including malformed partition text, which is reported with the
-offending token), 3 on an internal error of the program.
+offending token), 3 on an internal error of the program, a failed
+self-check (``ArithmeticError``) included.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ PROFILE_ROWS = 25
 # verify --suite all --modulus 0 --max-size 12 takes 1.2-2.6 s (the host's
 # speed drifts) and 22 MB, 0.3-0.6 s at moduli 2, 3 and 5; 14 takes about
 # 2.3 times as long as 12, and 16 about 4.5 times.  blocks --degree 38
-# takes 1.5 s and 159 MB at modulus 0 and 2.1-2.2 s and 163-172 MB at the
-# moduli above 38, where every partition is its own block (degree 40: 2.3 s
-# at modulus 0, 3.2 s and 244 MB at modulus 1000).  The relation checks of
+# takes 1.5-1.9 s and 159 MB at modulus 0 and 1.9-2.0 s and 158-167 MB at
+# moduli 39 and 1000, where every partition is its own block and
+# core_and_weight returns at once (degree 40: 2.4-3.0 s and 226 MB at
+# modulus 0, 2.9-3.3 s and 238 MB at modulus 1000).  The relation checks of
 # verify visit every pair of residues, so its work grows with the square of
 # --modulus whatever --max-size is: --max-size 12 takes 1.4 s at modulus
 # 15, 1.8 s at 20 and 2.2 s at 25 (2.2 s at modulus 0 in the same run).
@@ -328,7 +330,7 @@ def _read_request(argv: Sequence[str]) -> argparse.Namespace | None:
 def _dispatch(args: argparse.Namespace) -> int:
     try:
         return args.run(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # a fault of the program, not of the request

@@ -397,10 +397,12 @@ def parse_expression(expr: str, n: int) -> HeckeElement:
     """Evaluate a generator expression like ``t1*y2*t1 - y1`` at rank n.
 
     Parentheses and unary minus signs nest at most MAX_NESTING deep; deeper
-    input raises ValueError.
+    input raises ValueError, as does a rank no tuple can have as its length.
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"rank must be at most {sys.maxsize}, got {n}")
     tokens = _tokenize(expr)
     if not tokens:
         raise ValueError("empty expression")

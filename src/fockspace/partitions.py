@@ -310,16 +310,25 @@ def _from_beads(beads: list[int]) -> Partition:
 def core_and_weight(p: Partition, e: int) -> tuple[Partition, int]:
     """The e-core of p and the number of rim e-hooks removed to reach it.
 
+    For e == 0, and when p has fewer than e boxes (so no rim e-hook), p is
+    its own core, reached after removing no hook; otherwise the beads slide
+    on the abacus (``_slide_beads``).
+    """
+    check_modulus(e)
+    if not e or p.size < e:
+        return p, 0
+    return _slide_beads(p, e)
+
+
+def _slide_beads(p: Partition, e: int) -> tuple[Partition, int]:
+    """``core_and_weight`` on the abacus, for e >= 2.
+
     On the abacus (James-Kerber, 1981, 2.7) row j holds the bead b_j = p_j + k - 1 - j,
     on runner b_j mod e at level b_j // e.  Each hook removed moves a bead one
     level down its runner, so the core has each runner's m beads at levels
     m-1 .. 0 and the weight is the total drop: one sort of the rows, whatever e.
     Checked: |p| = |core| + e * weight, and the core has no rim e-hook left.
-    For e == 0 every partition is its own core, reached after removing no hook.
     """
-    check_modulus(e)
-    if not e:
-        return p, 0
     k = len(p.parts)
     top, slid, hooks_removed = {}, [], 0  # top: runner -> level of its last slid bead
     for j in range(k - 1, -1, -1):  # smallest bead first, so it takes the lowest free level

@@ -822,8 +822,8 @@ def _ssyt_rows(shape: tuple[int, ...], n: int) -> Iterator[tuple[tuple[int, ...]
 def _tableau_schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """s_shape(x_1..x_n) by counting semistandard tableaux per weight.
 
-    Exponential in the size; the independent oracle for the branching-rule
-    ``_schur_terms``, returning the same sorted (exponents, count) pairs.
+    Exponential in the size; the independent oracle for ``_schur_terms`` and
+    ``_kostka``, returning the same sorted (exponents, count) pairs.
     """
     counts: dict[tuple[int, ...], int] = {}
     for tableau in _ssyt_rows(shape, n):
@@ -837,7 +837,7 @@ def _tableau_schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[in
 
 
 def check_schur_tableaux_agree(max_size: int, max_vars: int) -> Optional[str]:
-    """The branching-rule Schur terms equal the tableau counts, in order."""
+    """The Schur terms built from the Kostka rows equal the tableau counts, in order."""
     for n in range(max_vars + 1):
         for lam in partitions_up_to(max_size):
             if _schur_terms(lam.parts, n) != _tableau_schur_terms(lam.parts, n):
@@ -846,15 +846,28 @@ def check_schur_tableaux_agree(max_size: int, max_vars: int) -> Optional[str]:
 
 
 def check_kostka_agree(max_size: int, max_vars: int) -> Optional[str]:
-    """The dominant-only branching rule equals the dominant part of the full one."""
+    """The Kostka rows equal the dominant part of the tableau counts.
+
+    One tableau table per shape, in m = min(max_vars, |lam|) variables.  The
+    Kostka numbers do not depend on the number of variables, so the rows in
+    n variables are the dominant rows of that table with at most n nonzero
+    entries, cut or padded with zeros to length n.
+    """
+    shapes = partitions_up_to(max_size)
+    tables = {
+        lam: [
+            (exps, c)
+            for exps, c in _tableau_schur_terms(lam.parts, min(max_vars, lam.size))
+            if list(exps) == sorted(exps, reverse=True)
+        ]
+        for lam in shapes
+    }
     for n in range(max_vars + 1):
-        for lam in partitions_up_to(max_size):
-            dominant = tuple(
-                (exps, c)
-                for exps, c in _schur_terms(lam.parts, n)
-                if list(exps) == sorted(exps, reverse=True)
+        for lam in shapes:
+            expected = tuple(
+                ((exps + (0,) * n)[:n], c) for exps, c in tables[lam] if n >= len(exps) or not exps[n]
             )
-            if _kostka(lam.parts, n) != dominant:
+            if _kostka(lam.parts, n) != expected:
                 return f"lambda={lam}, n={n}"
     return None
 

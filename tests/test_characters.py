@@ -149,7 +149,32 @@ def test_a_dropped_schur_term_fails_both_schur_oracles(monkeypatch):
     failed = {
         r.name: r.counterexample for r in run_verify("characters", 3, 4).results if not r.passed
     }
-    assert failed == {"schur_tableaux_agree": "lambda=[], n=0", "kostka_agree": "lambda=[], n=0"}
+    # kostka_agree reads _kostka against the tableau counts, not _schur_terms
+    assert failed == {"schur_tableaux_agree": "lambda=[], n=0"}
+
+
+def test_a_dropped_kostka_row_fails_both_kostka_oracles(monkeypatch, fresh_character_caches):
+    import fockspace.characters as characters_module
+    import fockspace.verify as verify_module
+
+    def drop_last_row(shape, n):
+        return _kostka(shape, n)[:-1]
+
+    monkeypatch.setattr(characters_module, "_kostka", drop_last_row)
+    monkeypatch.setattr(verify_module, "_kostka", drop_last_row)
+    failed = {
+        r.name: r.counterexample for r in run_verify("characters", 3, 4).results if not r.passed
+    }
+    assert failed["schur_tableaux_agree"] == "lambda=[], n=0"
+    assert failed["kostka_agree"] == "lambda=[], n=0"
+
+
+def test_schur_in_1500_variables_has_one_term_per_variable():
+    with deadline(30):
+        poly = schur(P((1,)), 1500)
+        assert len(poly.terms) == 1500
+        assert set(poly.terms.values()) == {1}
+        assert schur_expand(poly) == {P((1,)): 1}
 
 
 def test_schur_matches_jacobi_trudi():

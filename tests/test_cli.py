@@ -359,7 +359,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert obj["results"][0]["counterexample"] == "synthetic counterexample"
 
 
-def test_verify_names_a_schur_expansion_that_does_not_cancel(monkeypatch, capsys):
+def test_verify_names_a_schur_expansion_that_does_not_cancel(monkeypatch, capsys, fresh_character_caches):
     import fockspace.characters as characters_module
 
     original = characters_module._kostka
@@ -395,6 +395,35 @@ def test_an_internal_fault_exits_3_with_one_line(monkeypatch, capsys):
     monkeypatch.setattr(cli, "core_and_weight", broken)
     code, out, err = run_cli(capsys, "core", "--modulus", "2", "--partition", "[1]")
     assert (code, out, err) == (3, "", "internal error: RuntimeError: synthetic fault\n")
+
+
+def test_a_failed_schur_self_check_exits_3(monkeypatch, capsys, fresh_character_caches):
+    import fockspace.characters as characters_module
+
+    original = characters_module._kostka
+    # drop the leading (largest) term of every Kostka row the expansion subtracts
+    monkeypatch.setattr(characters_module, "_kostka", lambda shape, n: original(shape, n)[:-1])
+    code, out, err = run_cli(capsys, "pieri", "--partition", "[2,1]", "--n", "3")
+    assert (code, out) == (3, "")
+    assert err == "internal error: ArithmeticError: s_[3, 1] does not cancel its leading term (3, 1, 0)\n"
+
+
+def test_a_failed_core_self_check_exits_3(monkeypatch, capsys):
+    import fockspace.partitions as partitions_module
+
+    # the core [1] of [4] mod 3 read off the beads with its first row lost
+    read_off = partitions_module._from_beads
+    monkeypatch.setattr(
+        partitions_module, "_from_beads", lambda beads: Partition(read_off(beads).parts[1:])
+    )
+    code, out, err = run_cli(capsys, "core", "--modulus", "3", "--partition", "[4]")
+    assert (code, out, err) == (3, "", "internal error: ArithmeticError: |[4]| != |[]| + 3 * 1\n")
+
+
+def test_a_rank_too_large_for_a_tuple_is_a_usage_error(capsys):
+    rank = sys.maxsize + 1
+    code, out, err = run_cli(capsys, "hecke", "normal-form", "--rank", str(rank), "--expr", "t1")
+    assert (code, out, err) == (2, "", f"error: rank must be at most {sys.maxsize}, got {rank}\n")
 
 
 def test_an_interrupt_is_not_an_internal_error(monkeypatch):

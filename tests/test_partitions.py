@@ -11,6 +11,7 @@ from fockspace.partitions import (
     Box,
     Partition,
     _edit_row,
+    _slide_beads,
     addable_boxes,
     add_box,
     canonical_residue,
@@ -280,6 +281,13 @@ def test_core_and_weight_matches_beta_numbers_at_large_sizes(lam, e):
     core, hooks_removed = core_and_weight(lam, e)
     assert (core, hooks_removed) == _greedy_core_and_weight(lam, e)
     assert lam.size == core.size + e * hooks_removed
+
+
+@settings(deadline=None)
+@given(large_partition_strategy(200), st.integers(min_value=1, max_value=40))
+def test_a_partition_smaller_than_the_modulus_is_its_own_core(lam, excess):
+    e = max(2, lam.size + excess)
+    assert core_and_weight(lam, e) == _slide_beads(lam, e) == (lam, 0)
 
 
 def test_core_and_weight_rejects_an_inconsistent_removal(monkeypatch):
