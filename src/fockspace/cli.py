@@ -32,8 +32,9 @@ from .verify import DEFAULT_SEED, SUITES, run_verify
 PROFILE_ROWS = 25
 
 # Work limits: the largest --max-size of crystal and verify, --degree of
-# fock op-matrix and blocks, --modulus of verify and partition size of pieri
-# and branch that a request may ask for.  On a 2-vCPU VM with Python 3.11,
+# fock op-matrix and blocks, --modulus of verify, partition size of pieri
+# and branch and --rank of hecke normal-form that a request may ask for.
+# On a 2-vCPU VM with Python 3.11,
 # crystal --modulus 0 --max-size 30 (28,629 nodes) takes about 2.5 s and
 # 190 MB, fock op-matrix --op f --degree 40 (37,338 columns) about 1.3 s,
 # and the slowest pieri of 22 boxes found (301 shapes with at most 6 rows
@@ -50,12 +51,18 @@ PROFILE_ROWS = 25
 # verify visit every pair of residues, so its work grows with the square of
 # --modulus whatever --max-size is: --max-size 12 takes 1.4 s at modulus
 # 15, 1.8 s at 20 and 2.2 s at 25 (2.2 s at modulus 0 in the same run).
+# Every Hecke term carries an exponent tuple and a permutation of length
+# --rank, so each term costs O(rank): at rank 10,000
+# "(t1+y2)*(t1+y1)*y10000" takes 0.05 s and 21 MB, and four binomials
+# "(t1+y1)*...*(t4+y4)*y10000" 0.46 s and 45 MB (0.46 s and 58 MB for the
+# first at rank 100,000).
 MAX_CRYSTAL_SIZE = 30
 MAX_OP_DEGREE = 40
 MAX_CHARACTER_SIZE = 22
 MAX_VERIFY_SIZE = 12
 MAX_BLOCKS_DEGREE = 38
 MAX_VERIFY_MODULUS = 20
+MAX_HECKE_RANK = 10_000
 
 
 class Option(NamedTuple):
@@ -170,6 +177,7 @@ def _run_pieri(args: argparse.Namespace) -> int:
 
 
 def _run_hecke_normal_form(args: argparse.Namespace) -> int:
+    _check_limit("--rank", args.rank, MAX_HECKE_RANK)
     element = parse_expression(args.expr, args.rank)
     _emit(json.dumps(element.json_list()))
     return 0

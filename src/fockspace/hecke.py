@@ -1,13 +1,18 @@
 """The degenerate affine Hecke algebra in PBW normal form.
 
 Elements are integer combinations of y^a * w with the polynomial part on
-the left and the permutation on the right.  Multiplication straightens by
-pushing each simple transposition leftwards through y-monomials one
-generator at a time:
+the left and the permutation on the right.  The defining relations
 
     t_i y_{i+1} = y_i t_i + 1
     t_i y_i     = y_{i+1} t_i - 1
     t_i y_j     = y_j t_i          for j not in {i, i+1}
+
+say, for any polynomial f, that t_i f = (s_i f) t_i + d_i(f), where s_i
+swaps y_i and y_{i+1} and d_i(f) = (f - s_i f) / (y_{i+1} - y_i) is the
+divided difference.  On a monomial with p = a_i and q = a_{i+1}, d_i is a
+geometric sum: sign(q - p) times |q - p| monomials, with no recursion.  A
+product straightens each w of the left factor past each y-monomial of the
+right factor once per call, letter by letter along one reduced word of w.
 
 Permutations are stored in one-line notation; the product w * v means
 "apply v first".
@@ -16,6 +21,7 @@ Permutations are stored in one-line notation; the product w * v means
 from __future__ import annotations
 
 import sys
+from operator import add
 from typing import Callable, Iterator, Mapping
 
 Perm = tuple[int, ...]
@@ -37,7 +43,7 @@ def simple_transposition(i: int, n: int) -> Perm:
 
 def compose(w: Perm, v: Perm) -> Perm:
     """(w * v)(x) = w(v(x)): v acts first."""
-    return tuple(w[v[x] - 1] for x in range(len(w)))
+    return tuple([w[x - 1] for x in v])
 
 
 def reduced_word(w: Perm) -> list[int]:
@@ -89,6 +95,19 @@ class HeckeElement:
                     self.terms[(tuple(exps), tuple(perm))] = int(coeff)
 
     @classmethod
+    def _trusted(cls, n: int, terms: Mapping[Term, int]) -> "HeckeElement":
+        """Wrap integer coefficients on rank-n terms already known to be valid.
+
+        Skips the constructor's checks; only zero coefficients go.  Only for
+        the results of arithmetic on elements that were already checked; any
+        other input goes through ``HeckeElement(...)``.
+        """
+        element = object.__new__(cls)
+        element.n = n
+        element.terms = {t: c for t, c in terms.items() if c}
+        return element
+
+    @classmethod
     def one(cls, n: int) -> "HeckeElement":
         return cls(n, {((0,) * n, identity_perm(n)): 1})
 
@@ -119,7 +138,7 @@ class HeckeElement:
         out = dict(self.terms)
         for term, c in other.terms.items():
             out[term] = out.get(term, 0) + c
-        return HeckeElement(self.n, out)
+        return HeckeElement._trusted(self.n, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + (-1) * other
@@ -128,7 +147,9 @@ class HeckeElement:
         return (-1) * self
 
     def __rmul__(self, scalar: int) -> "HeckeElement":
-        return HeckeElement(self.n, {t: scalar * c for t, c in self.terms.items()})
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return HeckeElement._trusted(self.n, {t: scalar * c for t, c in self.terms.items()})
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         return multiply(self, other)
@@ -176,27 +197,20 @@ def from_generator(kind: str, index: int, n: int) -> HeckeElement:
 
 
 def _tau_times_monomial(i: int, exps: Exps, n: int) -> dict[Term, int]:
-    """t_i * y^exps in normal form.  Recursion peels one y factor at a time."""
-    out: dict[Term, int] = {}
-    if exps[i] > 0:
-        # t_i y_{i+1} y^rest = y_i (t_i y^rest) + y^rest
-        rest = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-        for (e2, w), c in _tau_times_monomial(i, rest, n).items():
-            bumped = e2[: i - 1] + (e2[i - 1] + 1,) + e2[i:]
-            out[(bumped, w)] = out.get((bumped, w), 0) + c
-        key = (rest, identity_perm(n))
-        out[key] = out.get(key, 0) + 1
-    elif exps[i - 1] > 0:
-        # t_i y_i y^rest = y_{i+1} (t_i y^rest) - y^rest
-        rest = exps[: i - 1] + (exps[i - 1] - 1,) + exps[i:]
-        for (e2, w), c in _tau_times_monomial(i, rest, n).items():
-            bumped = e2[:i] + (e2[i] + 1,) + e2[i + 1:]
-            out[(bumped, w)] = out.get((bumped, w), 0) + c
-        key = (rest, identity_perm(n))
-        out[key] = out.get(key, 0) - 1
-    else:
-        out[(exps, simple_transposition(i, n))] = 1
-    return {t: c for t, c in out.items() if c}
+    """t_i * y^exps = y^{s_i exps} t_i + d_i(y^exps) in normal form.
+
+    With p = exps[i-1], q = exps[i], lo = min(p, q) and hi = max(p, q),
+    d_i(y^exps) is sign(q - p) times the hi - lo monomials whose entries at
+    i-1 and i are (hi - 1 - k, lo + k) for k < hi - lo.
+    """
+    p, q = exps[i - 1], exps[i]
+    head, tail = exps[: i - 1], exps[i + 1:]
+    out = {(head + (q, p) + tail, simple_transposition(i, n)): 1}
+    lo, hi, sign = (p, q, 1) if p < q else (q, p, -1)
+    ident = identity_perm(n)
+    for k in range(hi - lo):
+        out[(head + (hi - 1 - k, lo + k) + tail, ident)] = sign
+    return out
 
 
 def _word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n: int) -> dict[Term, int]:
@@ -225,21 +239,29 @@ def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n:
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in normal form by straightening each w past each y-monomial."""
+    """Product in normal form; each w * y^eb is straightened once per call."""
     a._require_same_rank(b)
     n = a.n
+    zero = (0,) * n
+    words: dict[Perm, list[int]] = {}
+    straightened: dict[tuple[Perm, Exps], list[tuple[Term, int]]] = {}
     out: dict[Term, int] = {}
-    word_cache: dict[Perm, list[int]] = {}
     for (ea, w), ca in a.terms.items():
-        if w not in word_cache:
-            word_cache[w] = reduced_word(w)
-        word = word_cache[w]
         for (eb, v), cb in b.terms.items():
-            for (em, u), cm in _word_times_poly(word, eb, n).items():
-                exps = tuple(x + y for x, y in zip(ea, em))
-                key = (exps, compose(u, v))
-                out[key] = out.get(key, 0) + ca * cb * cm
-    return HeckeElement(n, out)
+            wy = straightened.get((w, eb))
+            if wy is None:
+                if eb == zero:
+                    wy = [((eb, w), 1)]
+                else:
+                    if w not in words:
+                        words[w] = reduced_word(w)
+                    wy = list(_word_times_poly(words[w], eb, n).items())
+                straightened[(w, eb)] = wy
+            c = ca * cb
+            for (em, u), cm in wy:
+                key = (tuple(map(add, ea, em)), compose(u, v))
+                out[key] = out.get(key, 0) + c * cm
+    return HeckeElement._trusted(n, out)
 
 
 def verify_relations(n: int) -> dict[str, bool]:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import deadline
 from fockspace import cli
 from fockspace.cli import main
+from fockspace.hecke import HeckeElement
 from fockspace.partitions import (
     Partition,
     add_box,
@@ -423,7 +424,7 @@ def test_a_failed_core_self_check_exits_3(monkeypatch, capsys):
 def test_a_rank_too_large_for_a_tuple_is_a_usage_error(capsys):
     rank = sys.maxsize + 1
     code, out, err = run_cli(capsys, "hecke", "normal-form", "--rank", str(rank), "--expr", "t1")
-    assert (code, out, err) == (2, "", f"error: rank must be at most {sys.maxsize}, got {rank}\n")
+    assert (code, out, err) == (2, "", f"error: --rank must be at most {cli.MAX_HECKE_RANK}, got {rank}\n")
 
 
 def test_an_interrupt_is_not_an_internal_error(monkeypatch):
@@ -744,6 +745,7 @@ WORK_LIMITS = [
     (["verify", "--suite", "all", "--modulus", "0", "--max-size"], "--max-size", cli.MAX_VERIFY_SIZE),
     (["blocks", "--modulus", "2", "--degree"], "--degree", cli.MAX_BLOCKS_DEGREE),
     (["verify", "--suite", "all", "--max-size", "0", "--modulus"], "--modulus", cli.MAX_VERIFY_MODULUS),
+    (["hecke", "normal-form", "--expr", "t1", "--rank"], "--rank", cli.MAX_HECKE_RANK),
 ]
 
 
@@ -761,6 +763,7 @@ def test_a_size_at_its_work_limit_is_accepted(monkeypatch, capsys, argv, flag, b
     monkeypatch.setattr(cli, "crystal_graph", lambda e, d: seen.append(d) or small_graph)
     monkeypatch.setattr(cli, "op_matrix", lambda op, i, e, d: seen.append(d) or small_matrix)
     monkeypatch.setattr(cli, "blocks", lambda d, e: seen.append(d) or [])
+    monkeypatch.setattr(cli, "parse_expression", lambda expr, n: seen.append(n) or HeckeElement.one(1))
     monkeypatch.setattr(
         cli,
         "run_verify",
@@ -801,8 +804,12 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
     ]
     sizes = {"--max-size": [], "--degree": []}
     verify_values = {"--max-size": [], "--modulus": []}
-    character_sizes, blocks_degrees = [], []
+    character_sizes, blocks_degrees, hecke_ranks = [], [], []
     for argv in requests:
+        if argv[:2] == ["hecke", "normal-form"] and "--rank" in argv[:-1]:
+            value = argv[argv.index("--rank") + 1]
+            if value.isdigit():
+                hecke_ranks.append(int(value))
         if argv[:1] == ["verify"]:
             for flag, values in verify_values.items():
                 if flag in argv[:-1] and argv[argv.index(flag) + 1].isdigit():
@@ -825,3 +832,4 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
     assert 8 in verify_sizes and max(verify_sizes) <= cli.MAX_VERIFY_SIZE
     assert 5 in verify_moduli and max(verify_moduli) <= cli.MAX_VERIFY_MODULUS
     assert 19 in blocks_degrees and max(blocks_degrees) <= cli.MAX_BLOCKS_DEGREE
+    assert {2, 3, 6} <= set(hecke_ranks) and max(hecke_ranks) <= cli.MAX_HECKE_RANK

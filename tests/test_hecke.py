@@ -1,11 +1,17 @@
 import itertools
+import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fockspace.cli import main
 from fockspace.hecke import (
     MAX_NESTING,
     HeckeElement,
+    _tau_times_monomial,
     all_reduced_words,
     compose,
     from_generator,
@@ -213,3 +219,124 @@ def test_json_list_is_sorted_and_stable():
         {"exponents": [0, 0], "permutation": [2, 1], "coeff": 1},
         {"exponents": [1, 0], "permutation": [1, 2], "coeff": 1},
     ]
+
+
+@pytest.mark.parametrize("rank", [sys.maxsize + 1, 2**64])
+def test_parse_expression_rejects_a_rank_no_tuple_can_have(rank):
+    with pytest.raises(ValueError, match=f"rank must be at most {sys.maxsize}, got {rank}"):
+        parse_expression("t1", rank)
+
+
+def test_a_scalar_that_is_not_an_integer_is_refused():
+    y, _ = gens(2)
+    assert 3 * y[1] == y[1] + y[1] + y[1]
+    with pytest.raises(TypeError):
+        2.5 * y[1]
+
+
+# The oracle: straightening that peels one y factor per recursion step
+# (t_i y_{i+1} f = y_i (t_i f) + f, t_i y_i f = y_{i+1} (t_i f) - f), and a
+# product that straightens every pair of terms anew.  The closed-form divided
+# difference and the per-call straightening of hecke.py must agree with it.
+
+
+def slow_tau_times_monomial(i, exps, n):
+    out = {}
+    if exps[i] > 0:
+        rest = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        for (e2, w), c in slow_tau_times_monomial(i, rest, n).items():
+            bumped = e2[: i - 1] + (e2[i - 1] + 1,) + e2[i:]
+            out[(bumped, w)] = out.get((bumped, w), 0) + c
+        key = (rest, identity_perm(n))
+        out[key] = out.get(key, 0) + 1
+    elif exps[i - 1] > 0:
+        rest = exps[: i - 1] + (exps[i - 1] - 1,) + exps[i:]
+        for (e2, w), c in slow_tau_times_monomial(i, rest, n).items():
+            bumped = e2[:i] + (e2[i] + 1,) + e2[i + 1:]
+            out[(bumped, w)] = out.get((bumped, w), 0) + c
+        key = (rest, identity_perm(n))
+        out[key] = out.get(key, 0) - 1
+    else:
+        out[(exps, simple_transposition(i, n))] = 1
+    return {t: c for t, c in out.items() if c}
+
+
+def slow_word_times_poly(word, exps, n):
+    terms = {(exps, identity_perm(n)): 1}
+    for i in reversed(word):
+        new = {}
+        for (e2, u), c in terms.items():
+            for (e3, u2), c2 in slow_tau_times_monomial(i, e2, n).items():
+                key = (e3, compose(u2, u))
+                new[key] = new.get(key, 0) + c * c2
+        terms = {t: c for t, c in new.items() if c}
+    return terms
+
+
+def slow_multiply(a, b):
+    n = a.n
+    out = {}
+    for (ea, w), ca in a.terms.items():
+        for (eb, v), cb in b.terms.items():
+            for (em, u), cm in slow_word_times_poly(reduced_word(w), eb, n).items():
+                key = (tuple(x + y for x, y in zip(ea, em)), compose(u, v))
+                out[key] = out.get(key, 0) + ca * cb * cm
+    return HeckeElement(n, out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_matches_peeling_for_exponents_up_to_4(n):
+    for i in range(1, n):
+        for exps in itertools.product(range(5), repeat=n):
+            assert _tau_times_monomial(i, exps, n) == slow_tau_times_monomial(i, exps, n), (i, exps)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one rank 1-5 whose terms share a few permutations."""
+    n = draw(st.integers(1, 5))
+    perms = draw(st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=3))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.sampled_from(perms))
+    a, b = (draw(st.dictionaries(term, st.integers(-3, 3), max_size=5)) for _ in range(2))
+    return HeckeElement(n, a), HeckeElement(n, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pairs())
+def test_multiply_matches_the_uncached_product(pair):
+    a, b = pair
+    assert multiply(a, b) == slow_multiply(a, b)
+
+
+def peeled_oracle(q, base=100):
+    """t_1 y_2^q at rank 2: the peeling oracle at exponent ``base``, then induction.
+
+    Peeling one y_2 gives t_1 y_2^k = y_1 (t_1 y_2^(k-1)) + y_2^(k-1), so
+    t_1 y_2^q = y_1^(q-base) (t_1 y_2^base) + sum over base <= k < q of y_1^(q-1-k) y_2^k.
+    """
+    out = {
+        ((p + q - base, r), w): c
+        for ((p, r), w), c in slow_tau_times_monomial(1, (0, base), 2).items()
+    }
+    for k in range(base, q):
+        key = ((q - 1 - k, k), (1, 2))
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_a_large_exponent_straightens_without_recursion():
+    q = 2000
+    product = from_generator("t", 1, 2) * HeckeElement(2, {((0, q), (1, 2)): 1})
+    assert len(product.terms) == q + 1
+    assert product.terms == peeled_oracle(q)
+
+
+def test_normal_form_command_straightens_a_large_exponent(capsys):
+    q = 2000
+    code = main(["hecke", "normal-form", "--rank", "2", "--expr", "t1*(" + "*".join(["y2"] * q) + ")"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    terms = json.loads(captured.out)
+    assert len(terms) == q + 1
+    got = {(tuple(t["exponents"]), tuple(t["permutation"])): t["coeff"] for t in terms}
+    assert got == peeled_oracle(q)
