@@ -113,6 +113,8 @@ class SymPolynomial:
         return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "SymPolynomial":
+        if not isinstance(scalar, int):  # the coefficients stay integers
+            return NotImplemented
         return SymPolynomial._trusted(
             self.num_vars, ((e, scalar * c) for e, c in self.terms.items())
         )

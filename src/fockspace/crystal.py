@@ -6,9 +6,10 @@ cancelling adjacent +- pairs the word looks like -...-+...+; the rightmost
 surviving - marks the good box (removed by e_tilde), the leftmost surviving
 + marks the cogood box (added by f_tilde).
 
-``e_tilde`` and ``f_tilde`` find that box in one bracket scan of the rim
-walk; ``signature``, ``reduced_signature``, ``good_box`` and ``cogood_box``
-build the words themselves and are the oracle the scans are checked against.
+``e_tilde`` and ``f_tilde`` find that box in one bracket scan of the
+residue-i corners (``partitions._i_rim``); ``signature``,
+``reduced_signature``, ``good_box`` and ``cogood_box`` build the words
+themselves and are the oracle the scans are checked against.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .partitions import (
     Box,
     Partition,
     _edit_row,
+    _i_rim,
     canonical_residue,
     check_modulus,
     i_corners,
@@ -82,20 +84,10 @@ def cogood_box(p: Partition, i: int, e: int) -> Optional[Box]:
     return None
 
 
-def _i_rim(p: Partition, i: int, e: int) -> list[tuple[int, int]]:
-    """(sign, row) of each residue-i corner of p in rim order; sign 1 is addable."""
-    i = canonical_residue(i, e)
-    return [
-        (sign, row)
-        for sign, row, col in rim_corners(p)
-        if ((col - row) % e if e else col - row) == i
-    ]
-
-
 def e_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
     """Remove the i-good box: the last - that finds no earlier + to cancel."""
     good, pluses = 0, 0
-    for sign, row in _i_rim(p, i, e):
+    for sign, row, _ in _i_rim(p, canonical_residue(i, e), e):
         if sign > 0:
             pluses += 1
         elif pluses:
@@ -108,7 +100,7 @@ def e_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
 def f_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
     """Add the i-cogood box: the first + that no later - cancels."""
     pluses: list[int] = []  # rows of the + not cancelled yet, leftmost first
-    for sign, row in _i_rim(p, i, e):
+    for sign, row, _ in _i_rim(p, canonical_residue(i, e), e):
         if sign > 0:
             pluses.append(row)
         elif pluses:

@@ -14,12 +14,12 @@ from typing import Iterable, Mapping
 from .partitions import (
     Partition,
     _edit_row,
+    _i_rim,
     canonical_residue,
     check_modulus,
     n_value,
     partitions_of,
     residue_counts,
-    rim_corners,
 )
 
 
@@ -101,11 +101,7 @@ class FockVector:
 
 def _moves(p: Partition, i: int, e: int, step: int) -> list[Partition]:
     """p with one i-box added (step 1) or removed (step -1); e checked, i reduced."""
-    return [
-        _edit_row(p, row, step)
-        for sign, row, col in rim_corners(p)
-        if sign == step and ((col - row) % e if e else col - row) == i
-    ]
+    return [_edit_row(p, row, step) for sign, row, _ in _i_rim(p, i, e) if sign == step]
 
 
 def _move_boxes(v: FockVector, i: int, e: int, step: int) -> FockVector:

@@ -106,9 +106,6 @@ class Partition:
                 yield Box(r, c)
 
 
-EMPTY = Partition()
-
-
 def check_modulus(e: int) -> int:
     """Validate a residue modulus: 0 (no reduction) or any integer >= 2."""
     if not isinstance(e, int) or e == 1 or e < 0:
@@ -167,13 +164,24 @@ def rim_corners(p: Partition) -> list[tuple[int, int, int]]:
     return out
 
 
-def i_corners(p: Partition, i: int, e: int) -> list[tuple[str, Box]]:
-    """The corners of residue i in rim order, tagged PLUS (addable) or MINUS."""
-    i = canonical_residue(i, e)
+def _i_rim(p: Partition, i: int, e: int) -> list[tuple[int, int, int]]:
+    """The corners of p of residue i as (sign, row, col), in rim order.
+
+    e checked, i reduced.  The only code that picks corners by residue:
+    f_i, e_i, h_i and the crystal operators all read this one scan.
+    """
     return [
-        (PLUS if sign > 0 else MINUS, Box(row, col))
+        (sign, row, col)
         for sign, row, col in rim_corners(p)
         if ((col - row) % e if e else col - row) == i
+    ]
+
+
+def i_corners(p: Partition, i: int, e: int) -> list[tuple[str, Box]]:
+    """The corners of residue i in rim order, tagged PLUS (addable) or MINUS."""
+    return [
+        (PLUS if sign > 0 else MINUS, Box(row, col))
+        for sign, row, col in _i_rim(p, canonical_residue(i, e), e)
     ]
 
 
@@ -225,14 +233,12 @@ def m_count(p: Partition, i: int, e: int) -> int:
 
 
 def n_value(p: Partition, i: int, e: int) -> int:
-    """m_{i-1} + m_{i+1} - 2*m_i + delta_{i0}.
+    """Addable minus removable boxes of residue i: the eigenvalue of h_i on v_p.
 
-    For e == 2 the neighbours i-1 and i+1 coincide mod 2 and are counted
-    twice, exactly as the sum is written.
+    This equals delta_{i0} + m_{i-1} + m_{i+1} - 2*m_i (Misra-Miwa, 1990);
+    verify's cartan_pairing checks it against that sum.
     """
-    m = residue_counts(p, e)
-    i, below, above = (j % e if e else j for j in (i, i - 1, i + 1))
-    return m.get(below, 0) + m.get(above, 0) - 2 * m.get(i, 0) + (1 if i == 0 else 0)
+    return sum(sign for sign, _, _ in _i_rim(p, canonical_residue(i, e), e))
 
 
 @lru_cache(maxsize=None)

@@ -202,7 +202,7 @@ def check_weight_ladder(e: int, max_size: int) -> Optional[str]:
 
 
 def check_cartan_pairing(e: int, max_size: int) -> Optional[str]:
-    """n_i(lambda) equals the pairing of wt(lambda) against h_i."""
+    """n_i(lambda), a corner count, equals <h_i, wt(lambda)> from the residue counts."""
     window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
         counts = residue_counts(lam, e)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,14 @@ from fockspace.verify import (
 )
 
 P = Partition
+
+
+def test_a_scalar_that_is_not_an_integer_is_refused():
+    s = schur(P((2, 1)), 2)
+    assert 3 * s == s + s + s
+    for scalar in (2.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            scalar * s
 
 
 def test_sympolynomial_validation():

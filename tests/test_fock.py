@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partition_strategy
+import fockspace.verify as verify_module
+from conftest import large_partition_strategy, partition_strategy
 from fockspace.fock import (
     FockVector,
     SparseMatrix,
@@ -25,6 +26,7 @@ from fockspace.partitions import (
     partitions_of,
     partitions_up_to,
     remove_box,
+    residue_counts,
     residue_window,
 )
 
@@ -192,6 +194,23 @@ def test_n_value_matches_cartan_pairing(e):
             pairing = (1 if i % e == 0 else 0) if e else (1 if i == 0 else 0)
             pairing -= sum(m_count(lam, j, e) * cartan_entry(i, j, e) for j in window)
             assert pairing == n_value(lam, i, e)
+
+
+@settings(deadline=None)
+@given(large_partition_strategy(200), st.sampled_from([0, 2, 3, 5]))
+def test_n_value_matches_cartan_pairing_on_large_partitions(lam, e):
+    counts = residue_counts(lam, e)  # zero off its keys, so the pairing sums over them only
+    for i in residue_window(e, lam.size):
+        pairing = (1 if i == 0 else 0) - sum(m * cartan_entry(i, j, e) for j, m in counts.items())
+        assert pairing == n_value(lam, i, e), (lam, i, e)
+
+
+def test_cartan_pairing_names_an_n_value_that_counts_only_addable_corners(monkeypatch):
+    def addable_only(p, i, e):
+        return sum(1 for sign, _ in i_corners(p, i, e) if sign == PLUS)
+
+    monkeypatch.setattr(verify_module, "n_value", addable_only)
+    assert verify_module.check_cartan_pairing(3, 4) == "lambda=[1], i=0, e=3"
 
 
 def test_the_constructor_still_rejects_keys_that_are_not_partitions():

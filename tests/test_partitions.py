@@ -167,8 +167,9 @@ def test_i_corners_match_the_filtered_and_sorted_box_lists(e):
 
 
 def test_i_corners_rejects_a_bad_modulus():
-    with pytest.raises(ValueError, match="modulus"):
-        i_corners(Partition((2, 1)), 0, 1)
+    for corners in (i_corners, n_value):
+        with pytest.raises(ValueError, match="modulus"):
+            corners(Partition((2, 1)), 0, 1)
 
 
 def _row_edit(lam: Partition, box: Box, step: int):
