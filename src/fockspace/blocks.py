@@ -44,7 +44,7 @@ def blocks(d: int, e: int) -> list[Block]:
     out = []
     for core in sorted(by_core, reverse=True):
         hooks_removed, members = by_core[core]
-        members = tuple(sorted(members, reverse=True))
+        members = tuple(members)  # partitions_of order, descending lexicographic
         out.append(
             Block(
                 modulus=e,

@@ -29,15 +29,17 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
+from .combination import IntCombination
 from .partitions import Partition
 
 
-class SymPolynomial:
+class SymPolynomial(IntCombination):
     """A symmetric polynomial in n variables, exponent vector -> integer."""
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ()
+    _MISMATCH = "variable counts differ: {} vs {}"
 
     def __init__(
         self,
@@ -46,32 +48,24 @@ class SymPolynomial:
     ):
         if num_vars < 0:
             raise ValueError(f"number of variables must be >= 0, got {num_vars}")
-        self.num_vars = num_vars
-        self.terms: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != num_vars:
-                    raise ValueError(f"exponent vector {exps} is not length {num_vars}")
-                if any(x < 0 for x in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if coeff:
-                    self.terms[tuple(exps)] = int(coeff)
+        super().__init__(terms, num_vars)
         self._check_symmetric()
 
-    @classmethod
-    def _trusted(
-        cls, num_vars: int, items: Iterable[tuple[tuple[int, ...], int]]
-    ) -> "SymPolynomial":
-        """Wrap terms known to be valid and symmetric; only zero coefficients go."""
-        poly = object.__new__(cls)
-        poly.num_vars = num_vars
-        poly.terms = {exps: c for exps, c in items if c}
-        return poly
+    @property
+    def num_vars(self) -> int:
+        return self.ring
+
+    def _checked_key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        if len(exps) != self.ring:
+            raise ValueError(f"exponent vector {exps} is not length {self.ring}")
+        if any(x < 0 for x in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        return tuple(exps)
 
     def _check_symmetric(self) -> None:
         # adjacent transpositions generate the full symmetric group
         for exps, coeff in self.terms.items():
-            for k in range(self.num_vars - 1):
+            for k in range(self.ring - 1):
                 if exps[k] == exps[k + 1]:
                     continue
                 swapped = list(exps)
@@ -87,56 +81,15 @@ class SymPolynomial:
     def one(cls, num_vars: int) -> "SymPolynomial":
         return cls(num_vars, {(0,) * num_vars: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
-    def _require_same_ring(self, other: "SymPolynomial") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"variable counts differ: {self.num_vars} vs {other.num_vars}"
-            )
-
-    def __add__(self, other: "SymPolynomial") -> "SymPolynomial":
-        self._require_same_ring(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return SymPolynomial._trusted(self.num_vars, out.items())
-
-    def __sub__(self, other: "SymPolynomial") -> "SymPolynomial":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: int) -> "SymPolynomial":
-        if not isinstance(scalar, int):  # the coefficients stay integers
-            return NotImplemented
-        return SymPolynomial._trusted(
-            self.num_vars, ((e, scalar * c) for e, c in self.terms.items())
-        )
-
     def __mul__(self, other: "SymPolynomial") -> "SymPolynomial":
-        self._require_same_ring(other)
+        if not self._same_ring(other):
+            return self.__rmul__(other)  # an int scalar, or NotImplemented
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return SymPolynomial._trusted(self.num_vars, out.items())
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SymPolynomial)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, tuple(sorted(self.terms.items()))))
+        return SymPolynomial._trusted(out, self.ring)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -250,7 +203,7 @@ def schur(p: Partition, n: int) -> SymPolynomial:
         raise ValueError(f"number of variables must be >= 0, got {n}")
     if len(p.parts) > n:
         return SymPolynomial.zero(n)
-    return SymPolynomial._trusted(n, _schur_terms(p.parts, n))
+    return SymPolynomial._trusted(dict(_schur_terms(p.parts, n)), n)
 
 
 def complete_homogeneous(k: int, n: int) -> SymPolynomial:
@@ -270,7 +223,7 @@ def complete_homogeneous(k: int, n: int) -> SymPolynomial:
             compositions(remaining - v, slots - 1, acc + [v])
 
     compositions(k, n, [])
-    return SymPolynomial._trusted(n, terms.items())
+    return SymPolynomial._trusted(terms, n)
 
 
 def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
@@ -313,8 +266,8 @@ def restrict_last_var(f: SymPolynomial) -> SymPolynomial:
     """Set the last variable to zero, landing in one variable fewer."""
     if f.num_vars < 1:
         raise ValueError("no variable left to restrict")
-    terms = ((exps[:-1], c) for exps, c in f.terms.items() if exps[-1] == 0)
-    return SymPolynomial._trusted(f.num_vars - 1, terms)
+    terms = {exps[:-1]: c for exps, c in f.terms.items() if exps[-1] == 0}
+    return SymPolynomial._trusted(terms, f.num_vars - 1)
 
 
 def schur_expand(f: SymPolynomial) -> dict[Partition, int]:

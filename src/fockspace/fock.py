@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .combination import IntCombination
 from .partitions import (
     Partition,
     _edit_row,
@@ -23,31 +24,15 @@ from .partitions import (
 )
 
 
-class FockVector:
+class FockVector(IntCombination):
     """A finite integer combination of basis partitions (no zero terms)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Partition, int] | None = None):
-        self.terms: dict[Partition, int] = {}
-        if terms:
-            for p, c in terms.items():
-                if not isinstance(p, Partition):
-                    raise TypeError(f"keys must be partitions, got {p!r}")
-                if c:
-                    self.terms[p] = int(c)
-
-    @classmethod
-    def _trusted(cls, terms: Mapping[Partition, int]) -> "FockVector":
-        """Wrap integer coefficients on keys known to be partitions; only zeros go.
-
-        Skips the constructor's checks.  Only for the results of arithmetic
-        and of the operators on vectors that were already checked; any other
-        input goes through ``FockVector(...)``.
-        """
-        v = object.__new__(cls)
-        v.terms = {p: c for p, c in terms.items() if c}
-        return v
+    def _checked_key(self, p: Partition) -> Partition:
+        if not isinstance(p, Partition):
+            raise TypeError(f"keys must be partitions, got {p!r}")
+        return p
 
     @classmethod
     def basis(cls, p: Partition) -> "FockVector":
@@ -56,38 +41,6 @@ class FockVector:
     @classmethod
     def zero(cls) -> "FockVector":
         return cls()
-
-    def coefficient(self, p: Partition) -> int:
-        return self.terms.get(p, 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return FockVector._trusted(out)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-1) * other
-
-    def __neg__(self) -> "FockVector":
-        return (-1) * self
-
-    def __rmul__(self, scalar: int) -> "FockVector":
-        if not isinstance(scalar, int):  # the coefficients stay integers
-            return NotImplemented
-        return FockVector._trusted({p: scalar * c for p, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FockVector) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items(), reverse=True)))
 
     def sorted_items(self) -> list[tuple[Partition, int]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)

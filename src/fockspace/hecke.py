@@ -24,6 +24,8 @@ import sys
 from operator import add
 from typing import Callable, Iterator, Mapping
 
+from .combination import IntCombination
+
 Perm = tuple[int, ...]
 Exps = tuple[int, ...]
 Term = tuple[Exps, Perm]
@@ -73,39 +75,31 @@ def all_reduced_words(w: Perm) -> Iterator[tuple[int, ...]]:
                 yield word + (i,)
 
 
-class HeckeElement:
+class HeckeElement(IntCombination):
     """An integer combination of normal-form basis elements y^a * w."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _MISMATCH = "rank mismatch: {} vs {}"
 
     def __init__(self, n: int, terms: Mapping[Term, int] | None = None):
         if n < 1:
             raise ValueError(f"rank must be >= 1, got {n}")
-        self.n = n
-        self.terms: dict[Term, int] = {}
-        if terms:
-            for (exps, perm), coeff in terms.items():
-                if len(exps) != n or len(perm) != n:
-                    raise ValueError(f"term {(exps, perm)} does not have rank {n}")
-                if any(x < 0 for x in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if sorted(perm) != list(range(1, n + 1)):
-                    raise ValueError(f"{perm} is not a permutation of 1..{n}")
-                if coeff:
-                    self.terms[(tuple(exps), tuple(perm))] = int(coeff)
+        super().__init__(terms, n)
 
-    @classmethod
-    def _trusted(cls, n: int, terms: Mapping[Term, int]) -> "HeckeElement":
-        """Wrap integer coefficients on rank-n terms already known to be valid.
+    @property
+    def n(self) -> int:
+        return self.ring
 
-        Skips the constructor's checks; only zero coefficients go.  Only for
-        the results of arithmetic on elements that were already checked; any
-        other input goes through ``HeckeElement(...)``.
-        """
-        element = object.__new__(cls)
-        element.n = n
-        element.terms = {t: c for t, c in terms.items() if c}
-        return element
+    def _checked_key(self, term: Term) -> Term:
+        exps, perm = term
+        n = self.ring
+        if len(exps) != n or len(perm) != n:
+            raise ValueError(f"term {(exps, perm)} does not have rank {n}")
+        if any(x < 0 for x in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        if sorted(perm) != list(range(1, n + 1)):
+            raise ValueError(f"{perm} is not a permutation of 1..{n}")
+        return (tuple(exps), tuple(perm))
 
     @classmethod
     def one(cls, n: int) -> "HeckeElement":
@@ -119,50 +113,14 @@ class HeckeElement:
     def scalar(cls, value: int, n: int) -> "HeckeElement":
         return cls(n, {((0,) * n, identity_perm(n)): value})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def y_degree(self) -> int:
         """Maximal total y-degree over the support; -1 for zero."""
         return max((sum(exps) for exps, _ in self.terms), default=-1)
 
-    def _require_same_rank(self, other: "HeckeElement") -> None:
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._require_same_rank(other)
-        out = dict(self.terms)
-        for term, c in other.terms.items():
-            out[term] = out.get(term, 0) + c
-        return HeckeElement._trusted(self.n, out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "HeckeElement":
-        return (-1) * self
-
-    def __rmul__(self, scalar: int) -> "HeckeElement":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return HeckeElement._trusted(self.n, {t: scalar * c for t, c in self.terms.items()})
-
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
+        if type(other) is not HeckeElement:
+            return self.__rmul__(other)  # an int scalar, or NotImplemented
         return multiply(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.terms.items()))))
 
     def sorted_terms(self) -> list[tuple[Term, int]]:
         return sorted(self.terms.items())
@@ -240,8 +198,9 @@ def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n:
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in normal form; each w * y^eb is straightened once per call."""
-    a._require_same_rank(b)
-    n = a.n
+    if not a._same_ring(b):
+        raise TypeError(f"cannot multiply a HeckeElement by {type(b).__name__}")
+    n = a.ring
     zero = (0,) * n
     words: dict[Perm, list[int]] = {}
     straightened: dict[tuple[Perm, Exps], list[tuple[Term, int]]] = {}
@@ -261,7 +220,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
             for (em, u), cm in wy:
                 key = (tuple(map(add, ea, em)), compose(u, v))
                 out[key] = out.get(key, 0) + c * cm
-    return HeckeElement._trusted(n, out)
+    return HeckeElement._trusted(out, n)
 
 
 def verify_relations(n: int) -> dict[str, bool]:
