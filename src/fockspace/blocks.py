@@ -8,14 +8,13 @@ suites rather than identified by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fock import Weight, weight
 from .partitions import Partition, check_modulus, core_and_weight, p_core, partitions_of
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     modulus: int
     degree: int
     core: Partition

@@ -14,8 +14,7 @@ themselves and are the oracle the scans are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fock import Weight
 from .partitions import (
@@ -33,8 +32,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """A +/- word along the rim, each symbol tagged with its box."""
 
     symbols: tuple[tuple[str, Box], ...]
@@ -42,9 +40,6 @@ class Signature:
     @property
     def word(self) -> str:
         return "".join(sign for sign, _ in self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
 
 def signature(p: Partition, i: int, e: int) -> Signature:
@@ -118,8 +113,7 @@ def phi(p: Partition, i: int, e: int) -> int:
     return reduced_signature(signature(p, i, e)).word.count(PLUS)
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     """All partitions of size <= max_size with their f_tilde transitions."""
 
     modulus: int

@@ -8,8 +8,7 @@ always finite, so no truncation happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .combination import IntCombination
 from .partitions import (
@@ -83,8 +82,7 @@ def apply_h(v: FockVector, i: int, e: int) -> FockVector:
     return FockVector._trusted({p: n_value(p, i, e) * c for p, c in v.terms.items()})
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """An affine weight omega_0 - sum m_i alpha_i, keyed by residue.
 
     Stored as the sorted tuple of nonzero (residue, multiplicity) pairs; the
@@ -118,8 +116,7 @@ def cartan_entry(i: int, j: int, e: int) -> int:
     return -1 if (i - j) % e in (1, e - 1) else 0
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(NamedTuple):
     """Sparse integer matrix with partition-labelled rows and columns."""
 
     rows: tuple[Partition, ...]

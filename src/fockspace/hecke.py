@@ -336,7 +336,9 @@ class _Parser:
     def parse(self) -> HeckeElement:
         value = self.expr()
         if self.peek() is not None:
-            raise ValueError(f"trailing token {self.peek()!r} in expression")
+            kind, text = self.peek()
+            written = kind + text if kind in ("y", "t") else text
+            raise ValueError(f"trailing token {written!r} in expression")
         return value
 
     def expr(self) -> HeckeElement:

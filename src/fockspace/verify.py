@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -970,8 +969,7 @@ def check_subalgebra_embedding(seed: int) -> Optional[str]:
 # Suite assembly
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     name: str
     params: dict
@@ -992,8 +990,7 @@ class SuiteResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     modulus: int
     max_size: int
     seed: int

@@ -250,6 +250,12 @@ def test_hecke_deep_nesting_is_a_usage_error(capsys):
     assert err == "error: expression nests deeper than 100 levels\n"
 
 
+@pytest.mark.parametrize("expr, written", [("y1)", ")"), ("y1 y2", "y2"), ("y1 3", "3")])
+def test_a_trailing_token_is_named_as_written(capsys, expr, written):
+    code, out, err = run_cli(capsys, "hecke", "normal-form", "--rank", "2", "--expr", expr)
+    assert (code, out, err) == (2, "", f"error: trailing token {written!r} in expression\n")
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
