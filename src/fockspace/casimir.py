@@ -24,9 +24,9 @@ from .partitions import (
 
 def casimir_scalar(p: Partition, n: int) -> int:
     """Sum of (n - 2i + 1) * p_i + p_i^2 over rows i = 1..n (zero-padded)."""
-    if n < len(p.parts):
+    if n < len(p):
         raise ValueError(f"rank {n} is smaller than the number of parts of {p}")
-    return sum((n - 2 * i + 1) * part + part * part for i, part in enumerate(p.parts, start=1))
+    return sum((n - 2 * i + 1) * part + part * part for i, part in enumerate(p, start=1))
 
 
 def _halved(numerator: int, what: str) -> int:
@@ -71,7 +71,7 @@ def y_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
 
 def eigenvalue_table(p: Partition, n: int, e: int) -> dict:
     """Casimir scalar of p plus the eigenvalue of every box move at rank n."""
-    if n <= len(p.parts):
+    if n <= len(p):
         raise ValueError(f"rank {n} must exceed the number of parts of {p}")
     removable = [
         {

@@ -27,7 +27,7 @@ smaller ones, so the loop terminates.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from operator import add
 from typing import Iterator, Mapping
 
@@ -58,6 +58,8 @@ class SymPolynomial(IntCombination):
     def _checked_key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         if len(exps) != self.ring:
             raise ValueError(f"exponent vector {exps} is not length {self.ring}")
+        if not all(map(isinstance, exps, repeat(int))):
+            raise TypeError(f"exponents must be integers, got {exps!r}")
         if any(x < 0 for x in exps):
             raise ValueError(f"negative exponent in {exps}")
         return tuple(exps)
@@ -201,9 +203,9 @@ def schur(p: Partition, n: int) -> SymPolynomial:
     """
     if n < 0:
         raise ValueError(f"number of variables must be >= 0, got {n}")
-    if len(p.parts) > n:
+    if len(p) > n:
         return SymPolynomial.zero(n)
-    return SymPolynomial._trusted(dict(_schur_terms(p.parts, n)), n)
+    return SymPolynomial._trusted(dict(_schur_terms(p, n)), n)
 
 
 def complete_homogeneous(k: int, n: int) -> SymPolynomial:
@@ -228,7 +230,7 @@ def complete_homogeneous(k: int, n: int) -> SymPolynomial:
 
 def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
     """The Schur polynomial as det(h_{p_i - i + j}); oracle for ``schur``."""
-    ell = len(p.parts)
+    ell = len(p)
     if ell == 0:
         return SymPolynomial.one(n)
     if ell > n:
@@ -237,7 +239,7 @@ def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
     h = {}
     for i in range(1, ell + 1):
         for j in range(1, ell + 1):
-            k = p.parts[i - 1] - i + j
+            k = p[i - 1] - i + j
             if k not in h:
                 h[k] = complete_homogeneous(k, n)
     total = SymPolynomial.zero(n)
@@ -245,7 +247,7 @@ def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
         sign = _permutation_sign(sigma)
         prod = SymPolynomial.one(n)
         for i, j in enumerate(sigma, start=1):
-            prod = prod * h[p.parts[i - 1] - i + j]
+            prod = prod * h[p[i - 1] - i + j]
             if prod.is_zero():
                 break
         total = total + sign * prod
@@ -343,7 +345,7 @@ def branch_r1(p: Partition, n: int) -> list[Partition]:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
     n = p.size
     layer: dict[tuple[int, ...], int] = {}
-    for nu, k in _dominant_branch(p.parts, n + 1, 0):
+    for nu, k in _dominant_branch(p, n + 1, 0):
         if 1 in nu:
             j = nu.index(1)
             layer[nu[:j] + nu[j + 1:]] = k
@@ -368,7 +370,7 @@ def pieri_mult(p: Partition, n: int) -> list[Partition]:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
     n = min(n, p.size + 1)
     terms: dict[tuple[int, ...], int] = {}
-    for mu, k in _dominant_branch(p.parts, n, 0):
+    for mu, k in _dominant_branch(p, n, 0):
         for j in range(n):
             if j == 0 or mu[j - 1] > mu[j]:
                 nu = (*mu[:j], mu[j] + 1, *mu[j + 1:])

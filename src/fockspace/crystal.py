@@ -162,13 +162,13 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     if d < 0:
         raise ValueError(f"max size must be >= 0, got {d}")
     nodes = partitions_up_to(d)
-    alphas = {(): ()}  # parts -> Weight.alpha
+    alphas = {(): ()}  # partition -> Weight.alpha
     for p in nodes[1:]:
-        parts, k = p.parts, len(p.parts)
-        counts = dict(alphas[parts[:-1] + ((parts[-1] - 1,) if parts[-1] > 1 else ())])
-        r = (parts[-1] - k) % e if e else parts[-1] - k  # residue of the last box
+        k = len(p)
+        counts = dict(alphas[p[:-1] + ((p[-1] - 1,) if p[-1] > 1 else ())])
+        r = (p[-1] - k) % e if e else p[-1] - k  # residue of the last box
         counts[r] = counts.get(r, 0) + 1
-        alphas[parts] = tuple(sorted(counts.items()))
+        alphas[p] = tuple(sorted(counts.items()))
     edges = []
     for p in nodes:
         if p.size == d:  # the last layer; its f_tilde images lie outside the graph
@@ -181,6 +181,6 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     return CrystalGraph(
         modulus=e,
         max_size=d,
-        nodes=tuple((p, Weight(e, alphas[p.parts])) for p in nodes),
+        nodes=tuple((p, Weight(e, alphas[p])) for p in nodes),
         edges=tuple(edges),
     )

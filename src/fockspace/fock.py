@@ -178,9 +178,9 @@ def op_matrix(kind: str, i: int, e: int, d: int) -> SparseMatrix:
     cols = partitions_of(d)
     rows = partitions_of(d + step)
     if step:
-        row_index = {p.parts: k for k, p in enumerate(rows)}  # tuples hash in C
+        row_index = {p: k for k, p in enumerate(rows)}
         entries = {
-            (row_index[q.parts], c): 1 for c, p in enumerate(cols) for q in _moves(p, i, e, step)
+            (row_index[q], c): 1 for c, p in enumerate(cols) for q in _moves(p, i, e, step)
         }
     else:
         entries = {(c, c): n_value(p, i, e) for c, p in enumerate(cols)}

@@ -21,6 +21,7 @@ Permutations are stored in one-line notation; the product w * v means
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 from operator import add
 from typing import Callable, Iterator, Mapping
 
@@ -95,6 +96,8 @@ class HeckeElement(IntCombination):
         n = self.ring
         if len(exps) != n or len(perm) != n:
             raise ValueError(f"term {(exps, perm)} does not have rank {n}")
+        if not all(map(isinstance, (*exps, *perm), repeat(int))):
+            raise TypeError(f"term entries must be integers, got {term!r}")
         if any(x < 0 for x in exps):
             raise ValueError(f"negative exponent in {exps}")
         if sorted(perm) != list(range(1, n + 1)):

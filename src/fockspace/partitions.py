@@ -18,19 +18,25 @@ class Box(NamedTuple):
     col: int
 
 
-class Partition:
-    """A partition stored as a weakly decreasing tuple of positive integers."""
+class Partition(tuple):
+    """A partition: a weakly decreasing tuple of positive integers.
 
-    __slots__ = ("parts",)
+    It is the tuple of its parts, so it hashes, compares and orders as that
+    tuple and cannot be changed; ``in`` asks whether a box is in the diagram.
+    """
 
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        parts = tuple(parts)
         for k, p in enumerate(parts):
+            if not isinstance(p, int):
+                raise TypeError(f"partition parts must be integers, got {p!r}")
             if p < 1:
                 raise ValueError(f"partition parts must be positive, got {p}")
             if k > 0 and parts[k - 1] < p:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
-        self.parts: tuple[int, ...] = parts
+        return tuple.__new__(cls, map(int, parts))
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
@@ -41,9 +47,7 @@ class Partition:
         enumeration of ``partitions_of``.  Any other input goes through
         ``Partition(...)``.
         """
-        p = cls.__new__(cls)
-        p.parts = parts
-        return p
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -66,42 +70,29 @@ class Partition:
         return cls(parts)
 
     @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a plain tuple (a copy; hot loops index the partition)."""
+        return tuple(self)
+
+    @property
     def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
-
-    def __le__(self, other: "Partition") -> bool:
-        return self.parts <= other.parts
+        return sum(self)
 
     def __str__(self) -> str:
-        return "[" + ",".join(map(str, self.parts)) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
 
     def __contains__(self, box: Box) -> bool:
-        return 1 <= box.row <= len(self.parts) and 1 <= box.col <= self.parts[box.row - 1]
+        return 1 <= box.row <= len(self) and 1 <= box.col <= self[box.row - 1]
 
     def row(self, r: int) -> int:
         """Length of row ``r`` (1-based); zero beyond the last row."""
-        return self.parts[r - 1] if 1 <= r <= len(self.parts) else 0
+        return self[r - 1] if 1 <= r <= len(self) else 0
 
     def boxes(self) -> Iterator[Box]:
-        for r, length in enumerate(self.parts, start=1):
+        for r, length in enumerate(self, start=1):
             for c in range(1, length + 1):
                 yield Box(r, c)
 
@@ -152,14 +143,13 @@ def rim_corners(p: Partition) -> list[tuple[int, int, int]]:
     that knows which rows carry a corner.  Contents col - row increase
     strictly along the list, so it is already in rim order.
     """
-    parts = p.parts
-    k = len(parts)
+    k = len(p)
     out = [(1, k + 1, 1)]
     for r in range(k, 0, -1):
-        length = parts[r - 1]
-        if r == k or parts[r] < length:
+        length = p[r - 1]
+        if r == k or p[r] < length:
             out.append((-1, r, length))
-        if r == 1 or parts[r - 2] > length:
+        if r == 1 or p[r - 2] > length:
             out.append((1, r, length + 1))
     return out
 
@@ -200,8 +190,8 @@ def _edit_row(p: Partition, row: int, step: int) -> Partition:
 
     Unchecked: callers pass a corner of p from the rim walk.
     """
-    parts, length = p.parts, p.row(row) + step
-    return Partition._trusted(parts[: row - 1] + ((length,) if length else ()) + parts[row:])
+    length = p.row(row) + step
+    return Partition._trusted(p[: row - 1] + ((length,) if length else ()) + p[row:])
 
 
 def add_box(p: Partition, box: Box) -> Partition:
@@ -220,7 +210,7 @@ def residue_counts(p: Partition, e: int) -> dict[int, int]:
     """Box count of each residue present in p; row r has contents 1-r .. p_r - r."""
     check_modulus(e)
     counts: dict[int, int] = {}
-    for r, length in enumerate(p.parts, start=1):
+    for r, length in enumerate(p, start=1):
         for c in range(1 - r, length + 1 - r):
             i = c % e if e else c
             counts[i] = counts.get(i, 0) + 1
@@ -279,9 +269,8 @@ def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box],
     """
     if length < 1:
         raise ValueError(f"hook length must be >= 1, got {length}")
-    parts = p.parts
-    k = len(parts)
-    betas = [part + k - 1 - j for j, part in enumerate(parts)]
+    k = len(p)
+    betas = [part + k - 1 - j for j, part in enumerate(p)]
     beads = set(betas)
     hooks = []
     for j in range(k - 1, -1, -1):
@@ -291,13 +280,13 @@ def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box],
         t = j
         while t + 1 < k and betas[t + 1] > moved:
             t += 1
-        rows = [parts[r + 1] - 1 for r in range(j, t)] + [moved - (k - 1 - t)]
+        rows = [p[r + 1] - 1 for r in range(j, t)] + [moved - (k - 1 - t)]
         boxes = frozenset(
             Box(r + 1, c)
             for r, new in enumerate(rows, start=j)
-            for c in range(new + 1, parts[r] + 1)
+            for c in range(new + 1, p[r] + 1)
         )
-        leftover = parts[:j] + tuple(x for x in rows if x) + parts[t + 1 :]
+        leftover = p[:j] + tuple(x for x in rows if x) + p[t + 1 :]
         hooks.append((boxes, Partition._trusted(leftover)))
     return hooks
 
@@ -335,10 +324,10 @@ def _slide_beads(p: Partition, e: int) -> tuple[Partition, int]:
     m-1 .. 0 and the weight is the total drop: one sort of the rows, whatever e.
     Checked: |p| = |core| + e * weight, and the core has no rim e-hook left.
     """
-    k = len(p.parts)
+    k = len(p)
     top, slid, hooks_removed = {}, [], 0  # top: runner -> level of its last slid bead
     for j in range(k - 1, -1, -1):  # smallest bead first, so it takes the lowest free level
-        level, runner = divmod(p.parts[j] + k - 1 - j, e)
+        level, runner = divmod(p[j] + k - 1 - j, e)
         top[runner] = free = top.get(runner, -1) + 1
         slid.append(runner + e * free)
         hooks_removed += level - free

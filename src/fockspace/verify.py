@@ -449,7 +449,7 @@ def check_connectivity(e: int, max_size: int) -> Optional[str]:
         return None
 
     def is_restricted(p: Partition) -> bool:
-        padded = p.parts + (0,)
+        padded = p + (0,)
         return all(padded[k] - padded[k + 1] < e for k in range(len(padded) - 1))
 
     for p, _ in graph.nodes:
@@ -535,27 +535,26 @@ def _subpartitions_of_size(p: Partition, target: int) -> list[Partition]:
     """Partitions mu contained in p (mu_r <= p_r) with |mu| = target."""
     if target < 0:
         return []
-    parts = p.parts
     out: list[Partition] = []
 
     def rec(r: int, prefix: list[int], remaining: int, cap: int) -> None:
         if remaining == 0:
             out.append(Partition(prefix))
             return
-        if r >= len(parts):
+        if r >= len(p):
             return
-        for v in range(min(parts[r], cap, remaining), 0, -1):
+        for v in range(min(p[r], cap, remaining), 0, -1):
             prefix.append(v)
             rec(r + 1, prefix, remaining - v, v)
             prefix.pop()
 
-    rec(0, [], target, p.parts[0] if p.parts else 0)
+    rec(0, [], target, p.row(1))
     return out
 
 
 def _skew_boxes(outer: Partition, inner: Partition) -> list[Box]:
     boxes = []
-    for r, length in enumerate(outer.parts, start=1):
+    for r, length in enumerate(outer, start=1):
         start = inner.row(r)
         boxes.extend(Box(r, c) for c in range(start + 1, length + 1))
     return boxes
@@ -663,7 +662,7 @@ def check_casimir_branching(max_size: int) -> Optional[str]:
             row = box.row
             for n in range(lam.size, lam.size + 4):
                 lhs = casimir_scalar(lam, n + 1) - casimir_scalar(mu, n)
-                rhs = 2 * (lam.parts[row - 1] - row) + lam.size + n
+                rhs = 2 * (lam[row - 1] - row) + lam.size + n
                 if lhs != rhs:
                     return f"lambda={lam}, box={tuple(box)}, n={n}"
     return None
@@ -704,8 +703,8 @@ def check_eigenvalue_n_independence(e: int, max_size: int) -> Optional[str]:
 def check_casimir_padding(max_size: int) -> Optional[str]:
     """Evaluating with explicit zero padding changes nothing."""
     for lam in partitions_up_to(max_size):
-        for n in range(len(lam.parts), len(lam.parts) + 4):
-            padded = lam.parts + (0,) * (n - len(lam.parts))
+        for n in range(len(lam), len(lam) + 4):
+            padded = lam + (0,) * (n - len(lam))
             direct = sum(
                 (n - 2 * i + 1) * part + part * part
                 for i, part in enumerate(padded, start=1)
@@ -722,7 +721,7 @@ def check_casimir_padding(max_size: int) -> Optional[str]:
 def check_schur_stability(max_size: int, max_vars: int) -> Optional[str]:
     for n in range(1, max_vars + 1):
         for lam in partitions_up_to(max_size):
-            if len(lam.parts) <= n - 1:
+            if len(lam) <= n - 1:
                 left = restrict_last_var(schur(lam, n))
                 if left != schur(lam, n - 1):
                     return f"lambda={lam}, n={n}"
@@ -839,7 +838,7 @@ def check_schur_tableaux_agree(max_size: int, max_vars: int) -> Optional[str]:
     """The Schur terms built from the Kostka rows equal the tableau counts, in order."""
     for n in range(max_vars + 1):
         for lam in partitions_up_to(max_size):
-            if _schur_terms(lam.parts, n) != _tableau_schur_terms(lam.parts, n):
+            if _schur_terms(lam, n) != _tableau_schur_terms(lam, n):
                 return f"lambda={lam}, n={n}"
     return None
 
@@ -856,7 +855,7 @@ def check_kostka_agree(max_size: int, max_vars: int) -> Optional[str]:
     tables = {
         lam: [
             (exps, c)
-            for exps, c in _tableau_schur_terms(lam.parts, min(max_vars, lam.size))
+            for exps, c in _tableau_schur_terms(lam, min(max_vars, lam.size))
             if list(exps) == sorted(exps, reverse=True)
         ]
         for lam in shapes
@@ -866,7 +865,7 @@ def check_kostka_agree(max_size: int, max_vars: int) -> Optional[str]:
             expected = tuple(
                 ((exps + (0,) * n)[:n], c) for exps, c in tables[lam] if n >= len(exps) or not exps[n]
             )
-            if _kostka(lam.parts, n) != expected:
+            if _kostka(lam, n) != expected:
                 return f"lambda={lam}, n={n}"
     return None
 

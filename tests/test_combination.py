@@ -112,6 +112,25 @@ def test_a_coefficient_that_is_not_an_int_is_refused_not_rounded(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SymPolynomial(2, {(1.5, 1.5): 1}), "exponents must be integers"),
+        (lambda: HeckeElement(2, {((0.5, 0), (1, 2)): 1}), "term entries must be integers"),
+        (lambda: HeckeElement(2, {((0, 0), (1.0, 2.0)): 1}), "term entries must be integers"),
+    ],
+    ids=["SymPolynomial exponent 1.5", "HeckeElement exponent 0.5", "HeckeElement permutation 1.0"],
+)
+def test_a_key_entry_that_is_not_an_int_is_refused(build, match):
+    with pytest.raises(TypeError, match=match):
+        build()
+
+
+def test_bool_key_entries_count_as_ints():
+    assert SymPolynomial(1, {(True,): 1}) == SymPolynomial(1, {(1,): 1})
+    assert HeckeElement(2, {((True, 0), (2, True)): 1}) == HeckeElement(2, {((1, 0), (2, 1)): 1})
+
+
 def test_int_and_bool_coefficients_are_kept_as_ints():
     built = [
         FockVector({P((2, 1)): True, P((1,)): 3, P((2,)): False}),

@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import re
 
 import pytest
@@ -5,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import large_partition_strategy, partition_strategy
+from fockspace.fock import FockVector
 from fockspace.partitions import (
     MINUS,
     PLUS,
@@ -45,6 +49,58 @@ def test_partition_validation():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+
+
+@pytest.mark.parametrize("parts", [[2.7, 1], ["3"], "21", (2, 1.0)], ids=repr)
+def test_a_part_that_is_not_an_int_is_refused_not_coerced(parts):
+    with pytest.raises(TypeError, match="partition parts must be integers"):
+        Partition(parts)
+
+
+def test_bool_parts_count_as_ints():
+    p = Partition([True, True])
+    assert p == Partition((1, 1)) and all(type(x) is int for x in p)
+
+
+def test_a_partition_is_the_tuple_of_its_parts():
+    p = Partition((2, 1))
+    assert p == Partition([2, 1]) == (2, 1) and hash(p) == hash(Partition([2, 1])) == hash((2, 1))
+    assert type(p.parts) is tuple and p.parts == (2, 1)
+    assert (str(p), repr(p)) == ("[2,1]", "Partition((2, 1))")
+    assert (str(Partition()), repr(Partition())) == ("[]", "Partition(())")
+    assert Box(1, 2) in Partition((2,)) and Box(1, 3) not in Partition((2,))
+    assert Box(2, 1) not in Partition((2,)) and Box(0, 1) not in Partition((2,))
+    assert (p[0], p[1:], type(p[1:])) == (2, (1,), tuple)
+    assert json.dumps(p) == "[2, 1]"
+
+
+def test_partitions_order_as_their_tuples():
+    shapes = partitions_up_to(6)
+    assert sorted(shapes) == sorted(shapes, key=tuple)
+    assert all((p < q) == (p.parts < q.parts) for p in shapes for q in shapes)
+    assert all((p <= q) == (p.parts <= q.parts) for p in shapes for q in shapes)
+    assert all(partitions_of(d) == sorted(partitions_of(d), reverse=True) for d in range(7))
+
+
+def test_trusted_copied_and_pickled_partitions_are_partitions():
+    for p in partitions_up_to(5):
+        built = [Partition._trusted(p.parts), copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
+        assert all(type(q) is Partition and q == Partition(p.parts) for q in built)
+    bad = pickle.dumps(Partition._trusted((1, 2)))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        pickle.loads(bad)  # unpickling goes through the constructor's checks
+
+
+def test_a_partition_cannot_be_changed_in_place():
+    p = Partition((2, 1))
+    v = FockVector({p: 1})
+    with pytest.raises(AttributeError):
+        p.parts = (3,)
+    with pytest.raises(AttributeError):
+        next(iter(v.terms)).parts = (3,)
+    with pytest.raises(TypeError):
+        p[0] = 3
+    assert (p, repr(v), v.coefficient(Partition((2, 1)))) == ((2, 1), "FockVector(1*v[2,1])", 1)
 
 
 def test_parse_and_str_roundtrip():
