@@ -41,15 +41,16 @@ class SymPolynomial(IntCombination):
     __slots__ = ()
     _MISMATCH = "variable counts differ: {} vs {}"
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         num_vars: int,
         terms: Mapping[tuple[int, ...], int] | None = None,
     ):
         if num_vars < 0:
             raise ValueError(f"number of variables must be >= 0, got {num_vars}")
-        super().__init__(terms, num_vars)
-        self._check_symmetric()
+        element = super().__new__(cls, terms, num_vars)
+        element._check_symmetric()
+        return element
 
     @property
     def num_vars(self) -> int:

@@ -11,32 +11,39 @@ type over another ring raises ``ValueError``.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Hashable, Mapping
+
+_set = object.__setattr__  # the two fields are set once, in __new__ or _trusted
 
 
 class IntCombination:
     """A finite integer combination of hashable keys, with no zero terms.
 
-    ``terms`` maps each key to its coefficient.  ``ring`` is what two
-    elements must share to be added: the number of variables, the rank, or
-    ``None`` for the Fock space.  Each subclass defines ``_checked_key``,
-    which returns a key as stored or raises if it is not a basis key, and
-    adds named constructors, a product and formatting.
+    ``terms`` maps each key to its coefficient, read-only.  ``ring`` is what
+    two elements must share to be added: the number of variables, the rank,
+    or ``None`` for the Fock space.  Neither can be assigned once the element
+    is built.  Each subclass defines ``_checked_key``, which returns a key as
+    stored or raises if it is not a basis key, and adds named constructors,
+    a product and formatting.
     """
 
     __slots__ = ("ring", "terms")
     _MISMATCH = "ring mismatch: {} vs {}"
 
-    def __init__(self, terms: Mapping | None = None, ring: Hashable = None):
-        self.ring = ring
-        self.terms: dict = {}
+    def __new__(cls, terms: Mapping | None = None, ring: Hashable = None):
+        element = object.__new__(cls)
+        _set(element, "ring", ring)  # _checked_key may read it
+        checked = {}
         if terms:
             for key, c in terms.items():
-                key = self._checked_key(key)
+                key = element._checked_key(key)
                 if not isinstance(c, int):
                     raise TypeError(f"coefficients must be integers, got {c!r} at {key!r}")
                 if c:
-                    self.terms[key] = int(c)
+                    checked[key] = int(c)
+        _set(element, "terms", MappingProxyType(checked))
+        return element
 
     @classmethod
     def _trusted(cls, terms: Mapping, ring: Hashable = None):
@@ -47,9 +54,18 @@ class IntCombination:
         input goes through the constructor.
         """
         element = object.__new__(cls)
-        element.ring = ring
-        element.terms = {k: c for k, c in terms.items() if c}
+        _set(element, "ring", ring)
+        _set(element, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
         return element
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} cannot be changed; build a new one")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Pickle and copy rebuild from a plain dict of the terms."""
+        return self._trusted, (self.terms.copy(), self.ring)
 
     def coefficient(self, key: Hashable) -> int:
         return self.terms.get(key, 0)
@@ -71,7 +87,7 @@ class IntCombination:
     def __add__(self, other):
         if not self._same_ring(other):
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms.copy()  # a dict; dict(proxy) would copy key by key
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
         return self._trusted(out, self.ring)

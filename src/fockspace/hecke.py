@@ -82,10 +82,10 @@ class HeckeElement(IntCombination):
     __slots__ = ()
     _MISMATCH = "rank mismatch: {} vs {}"
 
-    def __init__(self, n: int, terms: Mapping[Term, int] | None = None):
+    def __new__(cls, n: int, terms: Mapping[Term, int] | None = None):
         if n < 1:
             raise ValueError(f"rank must be >= 1, got {n}")
-        super().__init__(terms, n)
+        return super().__new__(cls, terms, n)
 
     @property
     def n(self) -> int:

@@ -85,6 +85,8 @@ class Partition(tuple):
         return f"Partition({self.parts!r})"
 
     def __contains__(self, box: Box) -> bool:
+        if not isinstance(box, Box):
+            raise TypeError(f"'in <Partition>' asks for a Box(row, col), got {box!r}")
         return 1 <= box.row <= len(self) and 1 <= box.col <= self[box.row - 1]
 
     def row(self, r: int) -> int:

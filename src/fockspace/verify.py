@@ -241,11 +241,15 @@ def check_integrability(e: int, max_size: int) -> Optional[str]:
 
 
 def check_residue_partition(e: int, max_size: int) -> Optional[str]:
-    """For e >= 2 the residues partition the boxes: sum_i m_i = |lambda|."""
-    if e == 0:
-        return None
+    """The residues in the window partition the boxes: sum_i m_i = |lambda|.
+
+    For e >= 2 the window is Z/eZ; for e = 0 this checks that the window
+    holds every content of a partition of size <= max_size.
+    """
+    window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        if sum(m_count(lam, i, e) for i in range(e)) != lam.size:
+        counts = residue_counts(lam, e)
+        if sum(counts.get(i, 0) for i in window) != lam.size:
             return f"lambda={lam}, e={e}"
     return None
 
@@ -429,31 +433,26 @@ def check_connectivity(e: int, max_size: int) -> Optional[str]:
     component of the empty partition is the highest-weight crystal, whose
     vertices are exactly the e-restricted partitions (consecutive part
     differences < e), and that is what is checked.
+
+    Each edge adds one box and the edges come sorted by source, in node
+    order, which is by size: a source's reachability is settled before its
+    first edge is read, so one pass finds the component.  An edge out of
+    order can only leave a node unreached, never reach one wrongly.
     """
     graph = crystal_graph(e, max_size)
     reached = {Partition()}
-    frontier = [Partition()]
-    adjacency: dict[Partition, list[Partition]] = {}
     for src, dst, _ in graph.edges:
-        adjacency.setdefault(src, []).append(dst)
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency.get(node, []):
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    if e == 0:
-        for p, _ in graph.nodes:
-            if p not in reached:
-                return f"unreachable node {p} (e=0, d={max_size})"
-        return None
+        if src in reached:
+            reached.add(dst)
 
     def is_restricted(p: Partition) -> bool:
         padded = p + (0,)
         return all(padded[k] - padded[k + 1] < e for k in range(len(padded) - 1))
 
     for p, _ in graph.nodes:
-        if (p in reached) != is_restricted(p):
+        if (p in reached) != (not e or is_restricted(p)):
+            if not e:
+                return f"unreachable node {p} (e=0, d={max_size})"
             return f"component mismatch at {p} (e={e}, d={max_size})"
     return None
 
@@ -521,8 +520,6 @@ def check_block_sizes(e: int, max_degree: int) -> Optional[str]:
 
 def check_block_p_weights(e: int, max_degree: int) -> Optional[str]:
     """Each member's greedy hook-removal count matches its block's p-weight."""
-    if e == 0:
-        return None
     for d in range(max_degree + 1):
         for block in blocks(d, e):
             for member in block.members:
@@ -611,8 +608,6 @@ def _removal_results(p: Partition, e: int, memo: dict[Partition, frozenset[Parti
 
 def check_core_well_defined(e: int, max_size: int) -> Optional[str]:
     """Every maximal hook-removal sequence ends at the same core."""
-    if e == 0:
-        return None
     memo: dict[Partition, frozenset[Partition]] = {}
     for lam in partitions_up_to(max_size):
         results = _removal_results(lam, e, memo)

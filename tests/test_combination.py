@@ -1,5 +1,7 @@
 """The integer-combination arithmetic shared by FockVector, SymPolynomial and HeckeElement."""
 
+import copy
+import pickle
 from itertools import permutations
 
 import pytest
@@ -143,3 +145,44 @@ def test_int_and_bool_coefficients_are_kept_as_ints():
         {((0, 0), (1, 2)): 1, ((1, 0), (2, 1)): 4},
     ]
     assert all(_is_checked(x) for x in built)
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTS))
+@given(data=st.data())
+def test_a_combination_cannot_be_changed_after_it_is_built(kind, data):
+    x = data.draw(ELEMENTS[kind])
+    before, h = dict(x.terms), hash(x)
+    key = next(iter(before), P((1,)))
+    for change in (
+        lambda: setattr(x, "ring", 7),
+        lambda: setattr(x, "terms", {}),
+        lambda: delattr(x, "terms"),
+        lambda: x.terms.__setitem__(key, 5),
+        lambda: x.terms.pop(key),
+    ):
+        with pytest.raises((AttributeError, TypeError)):
+            change()
+    assert x.terms == before and hash(x) == h and x in {x: 0}
+
+
+def test_a_hashed_vector_and_a_schur_polynomial_stay_as_built():
+    p = P((2, 1))
+    v, s = FockVector({p: 1}), schur(p, 2)
+    h = hash(v)
+    with pytest.raises(TypeError):
+        v.terms[p] = 5
+    with pytest.raises(AttributeError):
+        s.ring = 3
+    v.__init__({p: 5})  # construction happens in __new__; nothing to redo
+    assert (hash(v), v in {v: 0}, v.coefficient(p), s.num_vars) == (h, True, 1, 2)
+    assert {p: 1} == v.terms == {p: 1}
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTS))
+@given(data=st.data())
+def test_copied_and_pickled_combinations_are_equal_and_frozen(kind, data):
+    x = data.draw(ELEMENTS[kind])
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x) and y.ring == x.ring
+        with pytest.raises(AttributeError):
+            y.ring = None

@@ -74,6 +74,12 @@ def test_a_partition_is_the_tuple_of_its_parts():
     assert json.dumps(p) == "[2, 1]"
 
 
+@pytest.mark.parametrize("operand", [2, (1, 1), "[1]", None], ids=["int", "tuple", "str", "None"])
+def test_membership_asks_for_a_box(operand):
+    with pytest.raises(TypeError, match=r"Box\(row, col\)"):
+        operand in Partition((2, 1))
+
+
 def test_partitions_order_as_their_tuples():
     shapes = partitions_up_to(6)
     assert sorted(shapes) == sorted(shapes, key=tuple)

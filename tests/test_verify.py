@@ -4,14 +4,17 @@ import json
 import pytest
 
 import fockspace.verify as verify_module
+from fockspace.partitions import Partition
 from fockspace.verify import (
     CHECKS,
     DEFAULT_SEED,
     SUITES,
+    check_block_p_weights,
     check_confluence,
     check_connectivity,
     check_core_well_defined,
     check_reduced_word_independence,
+    check_residue_partition,
     check_rim_hooks_agree,
     check_zero_modulus_blocks,
     run_verify,
@@ -149,3 +152,44 @@ def test_singleton_blocks_runs_only_at_modulus_zero():
 def test_reduced_word_independence_takes_its_rank():
     for rank in (1, 2, 3):
         assert check_reduced_word_independence(rank) is None
+
+
+def test_residue_partition_examines_the_window_at_modulus_zero(monkeypatch):
+    original = verify_module.residue_counts
+    monkeypatch.setattr(
+        verify_module,
+        "residue_counts",
+        lambda p, e: {i: c for i, c in original(p, e).items() if i >= 0},
+    )
+    assert check_residue_partition(0, 4) == "lambda=[1,1], e=0"
+
+
+def test_p_weight_constant_examines_blocks_at_modulus_zero(monkeypatch):
+    original = verify_module.blocks
+    monkeypatch.setattr(
+        verify_module,
+        "blocks",
+        lambda d, e: [b._replace(p_weight=b.p_weight + 1) for b in original(d, e)],
+    )
+    assert check_block_p_weights(0, 3) == "member=[], block core=[], e=0"
+
+
+def test_core_well_defined_examines_cores_at_modulus_zero(monkeypatch):
+    monkeypatch.setattr(verify_module, "p_core", lambda p, e: Partition())
+    assert check_core_well_defined(0, 3) == "lambda=[1], e=0, endpoints=['[1]']"
+
+
+@pytest.mark.parametrize(
+    "e, expected",
+    [(0, "unreachable node [2,1] (e=0, d=4)"), (3, "component mismatch at [2,1] (e=3, d=4)")],
+)
+def test_connectivity_names_a_node_whose_edges_in_are_dropped(monkeypatch, e, expected):
+    original = verify_module.crystal_graph
+    lost = Partition((2, 1))
+
+    def graph_without_edges_into_lost(modulus, d):
+        graph = original(modulus, d)
+        return graph._replace(edges=tuple(edge for edge in graph.edges if edge[1] != lost))
+
+    monkeypatch.setattr(verify_module, "crystal_graph", graph_without_edges_into_lost)
+    assert check_connectivity(e, 4) == expected
