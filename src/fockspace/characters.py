@@ -63,7 +63,7 @@ class SymPolynomial(IntCombination):
             raise TypeError(f"exponents must be integers, got {exps!r}")
         if any(x < 0 for x in exps):
             raise ValueError(f"negative exponent in {exps}")
-        return tuple(exps)
+        return tuple(map(int, exps))  # a bool entry as its int
 
     def _check_symmetric(self) -> None:
         # adjacent transpositions generate the full symmetric group

@@ -12,7 +12,8 @@ swaps y_i and y_{i+1} and d_i(f) = (f - s_i f) / (y_{i+1} - y_i) is the
 divided difference.  On a monomial with p = a_i and q = a_{i+1}, d_i is a
 geometric sum: sign(q - p) times |q - p| monomials, with no recursion.  A
 product straightens each w of the left factor past each y-monomial of the
-right factor once per call, letter by letter along one reduced word of w.
+right factor once per call, letter by letter along one reduced word of w;
+t_i y^a u = y^{s_i a} (s_i u) + d_i(y^a) u, where s_i u swaps values i, i+1.
 
 Permutations are stored in one-line notation; the product w * v means
 "apply v first".
@@ -102,7 +103,7 @@ class HeckeElement(IntCombination):
             raise ValueError(f"negative exponent in {exps}")
         if sorted(perm) != list(range(1, n + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{n}")
-        return (tuple(exps), tuple(perm))
+        return (tuple(map(int, exps)), tuple(map(int, perm)))  # a bool entry as its int
 
     @classmethod
     def one(cls, n: int) -> "HeckeElement":
@@ -157,32 +158,27 @@ def from_generator(kind: str, index: int, n: int) -> HeckeElement:
     raise ValueError(f"generator kind must be 'y' or 't', got {kind!r}")
 
 
-def _tau_times_monomial(i: int, exps: Exps, n: int) -> dict[Term, int]:
-    """t_i * y^exps = y^{s_i exps} t_i + d_i(y^exps) in normal form.
-
-    With p = exps[i-1], q = exps[i], lo = min(p, q) and hi = max(p, q),
-    d_i(y^exps) is sign(q - p) times the hi - lo monomials whose entries at
-    i-1 and i are (hi - 1 - k, lo + k) for k < hi - lo.
-    """
-    p, q = exps[i - 1], exps[i]
-    head, tail = exps[: i - 1], exps[i + 1:]
-    out = {(head + (q, p) + tail, simple_transposition(i, n)): 1}
-    lo, hi, sign = (p, q, 1) if p < q else (q, p, -1)
-    ident = identity_perm(n)
-    for k in range(hi - lo):
-        out[(head + (hi - 1 - k, lo + k) + tail, ident)] = sign
-    return out
-
-
 def _word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n: int) -> dict[Term, int]:
-    """(t_{word[0]} ... t_{word[-1]}) * y^exps in normal form."""
+    """(t_{word[0]} ... t_{word[-1]}) * y^exps in normal form.
+
+    With p = a_i, q = a_{i+1} and lo, hi = sorted((p, q)), d_i(y^a) is
+    sign(q - p) times the monomials with entries (hi - 1 - k, lo + k) at
+    i-1 and i, for k < hi - lo.
+    """
     terms: dict[Term, int] = {(exps, identity_perm(n)): 1}
     for i in reversed(word):
         new: dict[Term, int] = {}
-        for (e2, u), c in terms.items():
-            for (e3, u2), c2 in _tau_times_monomial(i, e2, n).items():
-                key = (e3, compose(u2, u))
-                new[key] = new.get(key, 0) + c * c2
+        for (a, u), c in terms.items():
+            p, q = a[i - 1], a[i]
+            head, tail = a[: i - 1], a[i + 1:]
+            swapped = list(u)
+            swapped[u.index(i)], swapped[u.index(i + 1)] = i + 1, i
+            key = (head + (q, p) + tail, tuple(swapped))
+            new[key] = new.get(key, 0) + c
+            lo, hi, sign = (p, q, c) if p < q else (q, p, -c)
+            for k in range(hi - lo):
+                key = (head + (hi - 1 - k, lo + k) + tail, u)
+                new[key] = new.get(key, 0) + sign
         terms = {t: c for t, c in new.items() if c}
     return terms
 
@@ -194,9 +190,12 @@ def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n:
     directly against ``multiply``.
     """
     for i in word:
+        if not isinstance(i, int):
+            raise TypeError(f"generator index must be an integer, got {i!r}")
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} out of range for rank {n}")
-    return HeckeElement(n, _word_times_poly(tuple(word), tuple(exps), n))
+    [(exps, _)] = HeckeElement(n, {(tuple(exps), identity_perm(n)): 1}).terms
+    return HeckeElement._trusted(_word_times_poly(tuple(map(int, word)), exps, n), n)
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:

@@ -1,6 +1,7 @@
 """The integer-combination arithmetic shared by FockVector, SymPolynomial and HeckeElement."""
 
 import copy
+import json
 import pickle
 from itertools import permutations
 
@@ -131,6 +132,12 @@ def test_a_key_entry_that_is_not_an_int_is_refused(build, match):
 def test_bool_key_entries_count_as_ints():
     assert SymPolynomial(1, {(True,): 1}) == SymPolynomial(1, {(1,): 1})
     assert HeckeElement(2, {((True, 0), (2, True)): 1}) == HeckeElement(2, {((1, 0), (2, 1)): 1})
+
+
+def test_bool_key_entries_are_stored_as_ints():
+    hecke = HeckeElement(2, {((True, 0), (2, True)): 1})
+    assert json.dumps(hecke.json_list()) == '[{"exponents": [1, 0], "permutation": [2, 1], "coeff": 1}]'
+    assert repr(SymPolynomial(1, {(True,): 1})) == "SymPolynomial(1, 1*x^[1])"
 
 
 def test_int_and_bool_coefficients_are_kept_as_ints():

@@ -1,17 +1,18 @@
 import itertools
 import json
 import random
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockspace.cli import main
 from fockspace.hecke import (
     MAX_NESTING,
     HeckeElement,
-    _tau_times_monomial,
+    _word_times_poly,
     all_reduced_words,
     compose,
     from_generator,
@@ -288,7 +289,7 @@ def slow_multiply(a, b):
 def test_closed_form_matches_peeling_for_exponents_up_to_4(n):
     for i in range(1, n):
         for exps in itertools.product(range(5), repeat=n):
-            assert _tau_times_monomial(i, exps, n) == slow_tau_times_monomial(i, exps, n), (i, exps)
+            assert _word_times_poly((i,), exps, n) == slow_tau_times_monomial(i, exps, n), (i, exps)
 
 
 @st.composite
@@ -303,6 +304,18 @@ def element_pairs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(element_pairs())
+@example((  # a right factor of pure permutations: w * y^0 needs no straightening
+    HeckeElement(3, {((1, 0, 2), (2, 3, 1)): 2, ((0, 1, 0), (1, 2, 3)): -1}),
+    HeckeElement(3, {((0, 0, 0), (3, 1, 2)): 1, ((0, 0, 0), (2, 1, 3)): 3}),
+))
+@example((  # right terms on one exponent vector: each w * y^eb is straightened once
+    HeckeElement(3, {((0, 1, 0), (3, 2, 1)): 1, ((2, 0, 0), (2, 3, 1)): -2}),
+    HeckeElement(3, {((1, 0, 2), (1, 2, 3)): 1, ((1, 0, 2), (3, 2, 1)): -2, ((1, 0, 2), (2, 1, 3)): 1}),
+))
+@example((  # rank 1: the only permutation has the empty word
+    HeckeElement(1, {((2,), (1,)): 3}),
+    HeckeElement(1, {((1,), (1,)): -1, ((0,), (1,)): 2}),
+))
 def test_multiply_matches_the_uncached_product(pair):
     a, b = pair
     assert multiply(a, b) == slow_multiply(a, b)
@@ -340,3 +353,22 @@ def test_normal_form_command_straightens_a_large_exponent(capsys):
     assert len(terms) == q + 1
     got = {(tuple(t["exponents"]), tuple(t["permutation"])): t["coeff"] for t in terms}
     assert got == peeled_oracle(q)
+
+
+@pytest.mark.parametrize(
+    "word, exps, error, match",
+    [
+        ((1,), (1,), ValueError, r"term ((1,), (1, 2)) does not have rank 2"),
+        ((1,), (1, 2, 3), ValueError, r"term ((1, 2, 3), (1, 2)) does not have rank 2"),
+        ((1.0,), (0, 0), TypeError, r"generator index must be an integer, got 1.0"),
+    ],
+)
+def test_straightening_checks_its_input_once(word, exps, error, match):
+    with pytest.raises(error, match=re.escape(match)):
+        straighten_word_times_poly(word, exps, 2)
+
+
+def test_a_bool_letter_straightens_as_its_int():
+    straightened = straighten_word_times_poly((True,), (0, 1), 2)
+    assert straightened == straighten_word_times_poly((1,), (0, 1), 2)
+    assert {type(x) for exps, perm in straightened.terms for x in exps + perm} == {int}
