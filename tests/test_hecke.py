@@ -358,9 +358,9 @@ def test_normal_form_command_straightens_a_large_exponent(capsys):
 @pytest.mark.parametrize(
     "word, exps, error, match",
     [
-        ((1,), (1,), ValueError, r"term ((1,), (1, 2)) does not have rank 2"),
-        ((1,), (1, 2, 3), ValueError, r"term ((1, 2, 3), (1, 2)) does not have rank 2"),
-        ((1.0,), (0, 0), TypeError, r"generator index must be an integer, got 1.0"),
+        ((1,), (1,), ValueError, "term ((1,), (1, 2)) does not have rank 2"),
+        ((1,), (1, 2, 3), ValueError, "term ((1, 2, 3), (1, 2)) does not have rank 2"),
+        ((1.0,), (0, 0), TypeError, "generator index must be an integer, got 1.0"),
     ],
 )
 def test_straightening_checks_its_input_once(word, exps, error, match):
