@@ -27,7 +27,7 @@ smaller ones, so the loop terminates.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product, repeat
+from itertools import combinations_with_replacement, permutations, product, repeat
 from operator import add
 from typing import Iterator, Mapping
 
@@ -210,22 +210,17 @@ def schur(p: Partition, n: int) -> SymPolynomial:
 
 
 def complete_homogeneous(k: int, n: int) -> SymPolynomial:
-    """h_k(x_1..x_n): every monomial of total degree k once."""
+    """h_k(x_1..x_n): every monomial of total degree k once, one per multiset of k variables."""
+    if n < 0:
+        raise ValueError(f"number of variables must be >= 0, got {n}")
     if k < 0:
         return SymPolynomial.zero(n)
-    if n == 0:
-        return SymPolynomial.one(0) if k == 0 else SymPolynomial.zero(0)
-
-    terms: dict[tuple[int, ...], int] = {}
-
-    def compositions(remaining: int, slots: int, acc: list[int]) -> None:
-        if slots == 1:
-            terms[tuple(acc + [remaining])] = 1
-            return
-        for v in range(remaining + 1):
-            compositions(remaining - v, slots - 1, acc + [v])
-
-    compositions(k, n, [])
+    terms = {}
+    for indices in combinations_with_replacement(range(n), k):
+        exps = [0] * n
+        for x in indices:
+            exps[x] += 1
+        terms[tuple(exps)] = 1
     return SymPolynomial._trusted(terms, n)
 
 

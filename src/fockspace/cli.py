@@ -34,28 +34,15 @@ PROFILE_ROWS = 25
 # Work limits: the largest --max-size of crystal and verify, --degree of
 # fock op-matrix and blocks, --modulus of verify, partition size of pieri
 # and branch and --rank of hecke normal-form that a request may ask for.
-# On a 2-vCPU VM with Python 3.11,
-# crystal --modulus 0 --max-size 30 (28,629 nodes) takes about 2.5 s and
-# 190 MB, fock op-matrix --op f --degree 40 (37,338 columns) about 1.3 s,
-# and the slowest pieri of 22 boxes found (301 shapes with at most 6 rows
-# tried, [11,5,3,2,1]) about 1.1 s and 85 MB; at 20 boxes every shape takes
-# at most 0.5 s, at 24 the slowest found 2.1 s.  The work of pieri and
-# branch does not grow with --n.
-# verify --suite all --modulus 0 --max-size 12 takes 1.2-2.6 s (the host's
-# speed drifts) and 22 MB, 0.3-0.6 s at moduli 2, 3 and 5; 14 takes about
-# 2.3 times as long as 12, and 16 about 4.5 times.  blocks --degree 38
-# takes 1.5-1.9 s and 159 MB at modulus 0 and 1.9-2.0 s and 158-167 MB at
-# moduli 39 and 1000, where every partition is its own block and
-# core_and_weight returns at once (degree 40: 2.4-3.0 s and 226 MB at
-# modulus 0, 2.9-3.3 s and 238 MB at modulus 1000).  The relation checks of
-# verify visit every pair of residues, so its work grows with the square of
-# --modulus whatever --max-size is: --max-size 12 takes 1.4 s at modulus
-# 15, 1.8 s at 20 and 2.2 s at 25 (2.2 s at modulus 0 in the same run).
-# Every Hecke term carries an exponent tuple and a permutation of length
-# --rank, so each term costs O(rank): at rank 10,000
-# "(t1+y2)*(t1+y1)*y10000" takes 0.05 s and 21 MB, and four binomials
-# "(t1+y1)*...*(t4+y4)*y10000" 0.46 s and 45 MB (0.46 s and 58 MB for the
-# first at rank 100,000).
+# Each keeps the slowest request it admits to about two seconds; README's
+# work-limit paragraph gives the measured times.  A crystal graph, an
+# operator matrix and a verify sweep cover every partition up to the size,
+# and blocks sorts every partition of the degree (each is its own block
+# when the modulus exceeds the degree).  The work of pieri and branch grows
+# with the partition, not with --n.  The relation checks of verify visit
+# every pair of residues, so its work grows with the square of --modulus
+# whatever --max-size is.  Every Hecke term carries an exponent tuple and a
+# permutation of length --rank, so each term costs O(rank).
 MAX_CRYSTAL_SIZE = 30
 MAX_OP_DEGREE = 40
 MAX_CHARACTER_SIZE = 22

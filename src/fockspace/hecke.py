@@ -146,6 +146,8 @@ class HeckeElement(IntCombination):
 
 def from_generator(kind: str, index: int, n: int) -> HeckeElement:
     """The generator y_index (kind 'y') or t_index (kind 't') at rank n."""
+    if not isinstance(index, int):
+        raise TypeError(f"generator index must be an integer, got {index!r}")
     if kind == "y":
         if not 1 <= index <= n:
             raise ValueError(f"y index must be in 1..{n}, got {index}")

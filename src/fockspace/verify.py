@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import permutations, product
+from operator import le
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .blocks import blocks
@@ -528,27 +529,6 @@ def check_block_p_weights(e: int, max_degree: int) -> Optional[str]:
     return None
 
 
-def _subpartitions_of_size(p: Partition, target: int) -> list[Partition]:
-    """Partitions mu contained in p (mu_r <= p_r) with |mu| = target."""
-    if target < 0:
-        return []
-    out: list[Partition] = []
-
-    def rec(r: int, prefix: list[int], remaining: int, cap: int) -> None:
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        if r >= len(p):
-            return
-        for v in range(min(p[r], cap, remaining), 0, -1):
-            prefix.append(v)
-            rec(r + 1, prefix, remaining - v, v)
-            prefix.pop()
-
-    rec(0, [], target, p.row(1))
-    return out
-
-
 def _skew_boxes(outer: Partition, inner: Partition) -> list[Box]:
     boxes = []
     for r, length in enumerate(outer, start=1):
@@ -577,13 +557,15 @@ def _is_border_strip(boxes: list[Box]) -> bool:
 
 
 def _brute_force_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box], Partition]]:
-    """Rim hooks by searching every sub-partition of size |p| - length.
+    """Rim hooks by searching every partition mu of |p| - length inside p.
 
     Exponential in |p|; the independent oracle for the abacus
     ``removable_rim_hooks``, returning the same list in the same rim order.
     """
     hooks = []
-    for mu in _subpartitions_of_size(p, p.size - length):
+    for mu in partitions_of(p.size - length):
+        if len(mu) > len(p) or not all(map(le, mu, p)):
+            continue
         skew = _skew_boxes(p, mu)
         if _is_border_strip(skew):
             hooks.append((frozenset(skew), mu))
@@ -784,32 +766,26 @@ def check_schur_symmetry(max_size: int, max_vars: int) -> Optional[str]:
     return None
 
 
-def _ssyt_rows(shape: tuple[int, ...], n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All semistandard fillings of the shape with entries in 1..n."""
+def _ssyt_rows(
+    shape: tuple[int, ...], n: int, above: tuple[int, ...] = ()
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All semistandard fillings of the shape with entries in 1..n, below the row above."""
+    if not shape:
+        yield ()
+        return
+    for row in _ssyt_row(shape[0], n, above, 1):
+        for rest in _ssyt_rows(shape[1:], n, row):
+            yield (row,) + rest
 
-    def fill(row_idx: int, above: tuple[int, ...], acc: list[tuple[int, ...]]) -> Iterator:
-        if row_idx == len(shape):
-            yield tuple(acc)
-            return
-        width = shape[row_idx]
 
-        def build_row(col: int, row: list[int]) -> Iterator:
-            if col == width:
-                acc.append(tuple(row))
-                yield from fill(row_idx + 1, tuple(row), acc)
-                acc.pop()
-                return
-            lo = row[col - 1] if col else 1
-            if col < len(above):
-                lo = max(lo, above[col] + 1)
-            for val in range(lo, n + 1):
-                row.append(val)
-                yield from build_row(col + 1, row)
-                row.pop()
-
-        yield from build_row(0, [])
-
-    yield from fill(0, (), [])
+def _ssyt_row(width: int, n: int, above: tuple[int, ...], lo: int) -> Iterator[tuple[int, ...]]:
+    """Weakly increasing rows of entries in lo..n, each greater than the entry above it."""
+    if not width:
+        yield ()
+        return
+    for val in range(max(lo, above[0] + 1) if above else lo, n + 1):
+        for rest in _ssyt_row(width - 1, n, above[1:], val):
+            yield (val,) + rest
 
 
 def _tableau_schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -199,6 +201,16 @@ def test_complete_homogeneous():
     assert complete_homogeneous(0, 3) == SymPolynomial.one(3)
     assert complete_homogeneous(-1, 3).is_zero()
     assert complete_homogeneous(2, 2) == schur(P((2,)), 2)
+    for k in (-1, 0, 2):
+        with pytest.raises(ValueError, match="number of variables must be >= 0, got -1"):
+            complete_homogeneous(k, -1)
+    # every exponent vector of sum k once: C(n + k - 1, k) of them
+    for k in range(7):
+        for n in range(6):
+            terms = complete_homogeneous(k, n).terms
+            assert set(terms) == {e for e in itertools.product(range(k + 1), repeat=n) if sum(e) == k}
+            assert set(terms.values()) <= {1}
+            assert len(terms) == (math.comb(n + k - 1, k) if n else int(k == 0))
 
 
 def test_schur_expand_roundtrip():

@@ -17,14 +17,23 @@ from hypothesis import strategies as st
 from conftest import deadline
 from fockspace import cli
 from fockspace.cli import main
+from fockspace.crystal import e_tilde, f_tilde
+from fockspace.fock import FockVector, apply_f
 from fockspace.hecke import HeckeElement
 from fockspace.partitions import (
+    MINUS,
+    PLUS,
+    Box,
     Partition,
     add_box,
     addable_boxes,
+    i_corners,
+    n_value,
     partitions_of,
     remove_box,
     removable_boxes,
+    removable_rim_hooks,
+    rim_corners,
 )
 from fockspace.verify import VerifyReport
 
@@ -100,6 +109,52 @@ def test_core_and_blocks_answer_at_once_whatever_the_modulus(capsys):
     layer = json.loads(out)["blocks"]
     assert [block["core"] for block in layer] == [str(lam) for lam in partitions_of(5)]
     assert all(block["p_weight"] == 0 for block in layer)
+
+
+def test_casimir_and_the_corner_layer_answer_at_once_on_a_huge_part(capsys):
+    big = 10**12
+    p = Partition((big, 5))
+    with deadline(10):
+        code, out, err = run_cli(
+            capsys, "casimir", "--partition", f"[{big},5]", "--n", "3", "--modulus", "3"
+        )
+        corners = rim_corners(p)
+        by_residue = [(i_corners(p, i, 3), n_value(p, i, 3)) for i in range(3)]
+        tildes = [(f_tilde(p, i, 3), e_tilde(p, i, 3)) for i in range(3)]
+        images = [apply_f(FockVector.basis(p), i, 3) for i in range(3)]
+        hooks = removable_rim_hooks(p, 3)
+    assert (code, err) == (0, "")
+    # the exact JSON, byte for byte
+    assert out == (
+        '{"partition": "[1000000000000,5]", "n": 3, "modulus": 3, '
+        '"casimir": 1000000000002000000000025, '
+        '"removable": [{"box": [2, 5], "content": 3, "residue": 0}, '
+        '{"box": [1, 1000000000000], "content": 999999999999, "residue": 0}], '
+        '"addable": [{"box": [3, 1], "content": -2, "residue": 1}, '
+        '{"box": [2, 6], "content": 4, "residue": 1}, '
+        '{"box": [1, 1000000000001], "content": 1000000000000, "residue": 1}]}\n'
+    )
+    assert corners == [(1, 3, 1), (-1, 2, 5), (1, 2, 6), (-1, 1, big), (1, 1, big + 1)]
+    assert by_residue == [
+        ([(MINUS, Box(2, 5)), (MINUS, Box(1, big))], -2),
+        ([(PLUS, Box(3, 1)), (PLUS, Box(2, 6)), (PLUS, Box(1, big + 1))], 3),
+        ([], 0),
+    ]
+    assert tildes == [
+        (None, Partition((big - 1, 5))),
+        (Partition((big, 5, 1)), None),
+        (None, None),
+    ]
+    assert images[0].is_zero() and images[2].is_zero()
+    assert images[1].terms == {
+        Partition((big, 5, 1)): 1,
+        Partition((big, 6)): 1,
+        Partition((big + 1, 5)): 1,
+    }
+    assert hooks == [
+        (frozenset({Box(2, 3), Box(2, 4), Box(2, 5)}), Partition((big, 2))),
+        (frozenset({Box(1, big - 2), Box(1, big - 1), Box(1, big)}), Partition((big - 3, 5))),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,12 @@ def test_from_generator_examples():
         from_generator("t", 2, 2)
     with pytest.raises(ValueError):
         from_generator("z", 1, 2)
+    for kind in ("y", "t"):
+        assert from_generator(kind, True, 2) == from_generator(kind, 1, 2)
+        for index in (1.5, 1.0, "1", None):
+            message = f"generator index must be an integer, got {index!r}"
+            with pytest.raises(TypeError, match=re.escape(message)):
+                from_generator(kind, index, 2)
 
 
 def test_cross_relation_examples():
