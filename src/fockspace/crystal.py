@@ -6,14 +6,17 @@ cancelling adjacent +- pairs the word looks like -...-+...+; the rightmost
 surviving - marks the good box (removed by e_tilde), the leftmost surviving
 + marks the cogood box (added by f_tilde).
 
-``e_tilde`` and ``f_tilde`` find that box in one bracket scan of the
-residue-i corners (``partitions._i_rim``); ``signature``,
-``reduced_signature``, ``good_box`` and ``cogood_box`` build the words
-themselves and are the oracle the scans are checked against.
+``e_tilde`` finds the good box in one bracket scan of the residue-i
+corners (``partitions._i_rim``).  ``f_tilde`` reads the cogood row of every
+residue from one bracket scan per node (``_cogood_rows``), kept for the last
+node asked about, so the crystal export walks each node's rim once.
+``signature``, ``reduced_signature``, ``good_box`` and ``cogood_box`` build
+the words themselves and are the oracle the scans are checked against.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .fock import Weight
@@ -92,15 +95,30 @@ def e_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
     return _edit_row(p, good, -1) if good else None
 
 
+@lru_cache(maxsize=1)
+def _cogood_rows(p: Partition, e: int) -> dict[int, int]:
+    """The row of the cogood box of each residue that has one; e checked.
+
+    One rim walk, one bracket stack per residue holding the rows of the +
+    not cancelled yet, leftmost first.  The cache holds one node: a node's
+    f_tilde calls, one per residue, follow each other.  Every caller gets
+    the same dict, so none may change it.
+    """
+    pluses: dict[int, list[int]] = {}
+    for sign, row, col in rim_corners(p):
+        i = (col - row) % e if e else col - row
+        if sign > 0:
+            pluses.setdefault(i, []).append(row)
+        elif pluses.get(i):
+            pluses[i].pop()
+    return {i: rows[0] for i, rows in pluses.items() if rows}
+
+
 def f_tilde(p: Partition, i: int, e: int) -> Optional[Partition]:
     """Add the i-cogood box: the first + that no later - cancels."""
-    pluses: list[int] = []  # rows of the + not cancelled yet, leftmost first
-    for sign, row, _ in _i_rim(p, canonical_residue(i, e), e):
-        if sign > 0:
-            pluses.append(row)
-        elif pluses:
-            pluses.pop()
-    return _edit_row(p, pluses[0], 1) if pluses else None
+    i = canonical_residue(i, e)  # checks e before the memo reads it
+    row = _cogood_rows(p, e).get(i)
+    return None if row is None else _edit_row(p, row, 1)
 
 
 def epsilon(p: Partition, i: int, e: int) -> int:
@@ -153,10 +171,11 @@ class CrystalGraph(NamedTuple):
 def crystal_graph(e: int, d: int) -> CrystalGraph:
     """Build the crystal on partitions of size <= d.
 
-    f_tilde(p, i) is None unless p has an addable i-box, so each node tries
-    only the residues of its addable boxes, in increasing order: the edges
-    come out sorted by source (nodes are ordered by size) and residue.  A
-    weight is that of an earlier node, p less its last box, plus that box.
+    Each node calls f_tilde once per residue that has a cogood box, in
+    increasing order, so the edges come out sorted by source (nodes are
+    ordered by size) and residue.  f_tilde reads the node's cogood rows,
+    found in one rim walk (e_tilde would read the residue-i scan, _i_rim).
+    A weight is that of an earlier node, p less its last box, plus that box.
     """
     check_modulus(e)
     if d < 0:
@@ -173,11 +192,8 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     for p in nodes:
         if p.size == d:  # the last layer; its f_tilde images lie outside the graph
             break
-        addable = {col - row for sign, row, col in rim_corners(p) if sign > 0}
-        for i in sorted({c % e for c in addable} if e else addable):
-            target = f_tilde(p, i, e)
-            if target is not None:
-                edges.append((p, target, i))
+        for i in sorted(_cogood_rows(p, e)):
+            edges.append((p, f_tilde(p, i, e), i))
     return CrystalGraph(
         modulus=e,
         max_size=d,

@@ -200,8 +200,16 @@ def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n:
     return HeckeElement._trusted(_word_times_poly(tuple(map(int, word)), exps, n), n)
 
 
+MAX_PRODUCT_SIZE = 400_000
+"""Most terms times rank a product may build; every term holds two rank-long tuples."""
+
+
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in normal form; each w * y^eb is straightened once per call."""
+    """Product in normal form; each w * y^eb is straightened once per call.
+
+    Raises ValueError as soon as the terms built so far, times the rank,
+    pass MAX_PRODUCT_SIZE; it is checked after each term of a.
+    """
     if not a._same_ring(b):
         raise TypeError(f"cannot multiply a HeckeElement by {type(b).__name__}")
     n = a.ring
@@ -224,6 +232,11 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
             for (em, u), cm in wy:
                 key = (tuple(map(add, ea, em)), compose(u, v))
                 out[key] = out.get(key, 0) + c * cm
+        if len(out) * n > MAX_PRODUCT_SIZE:
+            raise ValueError(
+                f"a product may have at most {MAX_PRODUCT_SIZE} terms times rank, "
+                f"got {len(out)} terms at rank {n} before it was complete"
+            )
     return HeckeElement._trusted(out, n)
 
 

@@ -159,8 +159,8 @@ def rim_corners(p: Partition) -> list[tuple[int, int, int]]:
 def _i_rim(p: Partition, i: int, e: int) -> list[tuple[int, int, int]]:
     """The corners of p of residue i as (sign, row, col), in rim order.
 
-    e checked, i reduced.  The only code that picks corners by residue:
-    f_i, e_i, h_i and the crystal operators all read this one scan.
+    e checked, i reduced.  The only code that picks corners of one residue:
+    f_i, e_i, h_i and e_tilde read this scan.
     """
     return [
         (sign, row, col)

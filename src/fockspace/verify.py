@@ -354,8 +354,9 @@ def check_string_lengths(e: int, max_size: int) -> Optional[str]:
 
 def check_tilde_signature_agree(e: int, max_size: int) -> Optional[str]:
     """The bracket scans of e_tilde/f_tilde edit the good/cogood box of the
-    signature oracle, and crystal_graph, which tries only the residues of
-    addable boxes, has the edges of the oracle over the whole window."""
+    signature oracle, and crystal_graph, which calls f_tilde only for the
+    residues of a node's cogood rows, has the edges of the oracle over the
+    whole window."""
     edges = []
     for lam in partitions_up_to(max_size):
         for i in residue_window(e, max_size):

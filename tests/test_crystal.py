@@ -25,6 +25,7 @@ from fockspace.partitions import (
     partitions_up_to,
     remove_box,
     residue_window,
+    rim_corners,
 )
 from fockspace.verify import check_tilde_signature_agree
 
@@ -252,3 +253,45 @@ def test_tilde_signature_agree_catches_a_pruned_edge(monkeypatch):
     assert check_tilde_signature_agree(3, 3) == (
         "crystal_graph edges differ from the whole-window oracle (e=3, d=3)"
     )
+
+
+def test_f_tilde_reads_the_memo_of_the_partition_and_modulus_asked():
+    # a memo entry kept for the wrong partition or modulus would show here;
+    # False hashes and compares like 0, and is the same modulus
+    p, q = P((3, 1)), P((2, 2, 1))
+    for lam, e in ((p, 2), (q, 2), (p, 3), (p, 0), (p, False), (p, 2)):
+        for i in residue_window(e, lam.size + 1):
+            assert f_tilde(lam, i, e) == _oracle_f_tilde(lam, i, e)
+
+
+def test_tilde_signature_agree_catches_the_last_cogood_row(monkeypatch):
+    import fockspace.crystal as crystal_module
+
+    def last_rows(p, e):  # keeps the last surviving + where the first is cogood
+        pluses = {}
+        for sign, row, col in rim_corners(p):
+            i = (col - row) % e if e else col - row
+            if sign > 0:
+                pluses.setdefault(i, []).append(row)
+            elif pluses.get(i):
+                pluses[i].pop()
+        return {i: rows[-1] for i, rows in pluses.items() if rows}
+
+    crystal_module._cogood_rows.cache_clear()
+    monkeypatch.setattr(crystal_module, "_cogood_rows", last_rows)
+    assert check_tilde_signature_agree(2, 3) == "f_tilde: lambda=[1], i=1, e=2"
+
+
+def test_crystal_graph_calls_f_tilde_once_per_edge(monkeypatch):
+    import fockspace.crystal as crystal_module
+
+    calls = []
+    original = crystal_module.f_tilde
+
+    def counting(p, i, e):
+        calls.append((p, i))
+        return original(p, i, e)
+
+    monkeypatch.setattr(crystal_module, "f_tilde", counting)
+    edges = crystal_graph(3, 4).edges
+    assert calls == [(src, i) for src, _, i in edges]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockspace.cli import main
+import fockspace.hecke as hecke_module
 from fockspace.hecke import (
     MAX_NESTING,
     HeckeElement,
@@ -359,6 +360,35 @@ def test_normal_form_command_straightens_a_large_exponent(capsys):
     assert len(terms) == q + 1
     got = {(tuple(t["exponents"]), tuple(t["permutation"])): t["coeff"] for t in terms}
     assert got == peeled_oracle(q)
+
+
+def test_a_product_up_to_the_size_limit_is_built(monkeypatch):
+    expected = parse_expression("(t1+y1)*(t1+y2)", 2)
+    monkeypatch.setattr(hecke_module, "MAX_PRODUCT_SIZE", 2 * len(expected.terms))
+    assert parse_expression("(t1+y1)*(t1+y2)", 2) == expected
+    monkeypatch.setattr(hecke_module, "MAX_PRODUCT_SIZE", 2 * len(expected.terms) - 1)
+    with pytest.raises(ValueError, match="terms times rank"):
+        parse_expression("(t1+y1)*(t1+y2)", 2)
+
+
+def test_a_product_past_the_size_limit_stops_before_it_is_complete(monkeypatch):
+    a = parse_expression("(t1+y1)*(t2+y2)*(t1+y3)", 3)
+    b = parse_expression("(t2+y1)*(t1+y2)", 3)
+    full = len(multiply(a, b).terms)
+    monkeypatch.setattr(hecke_module, "MAX_PRODUCT_SIZE", 3 * 10)
+    with pytest.raises(ValueError, match="at most 30 terms times rank") as info:
+        multiply(a, b)
+    built = int(re.search(r"got (\d+) terms at rank 3", str(info.value)).group(1))
+    assert 10 < built < full  # checked after each term of a, not at the end
+
+
+def test_normal_form_command_refuses_a_product_past_the_size_limit(monkeypatch, capsys):
+    monkeypatch.setattr(hecke_module, "MAX_PRODUCT_SIZE", 1000)
+    expr = "*".join(f"(t{m % 7 + 1}+y{m % 8 + 1})" for m in range(20))
+    code = main(["hecke", "normal-form", "--rank", "8", "--expr", expr])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: a product may have at most 1000 terms times rank, got ")
 
 
 @pytest.mark.parametrize(
