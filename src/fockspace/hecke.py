@@ -11,9 +11,11 @@ say, for any polynomial f, that t_i f = (s_i f) t_i + d_i(f), where s_i
 swaps y_i and y_{i+1} and d_i(f) = (f - s_i f) / (y_{i+1} - y_i) is the
 divided difference.  On a monomial with p = a_i and q = a_{i+1}, d_i is a
 geometric sum: sign(q - p) times |q - p| monomials, with no recursion.  A
-product straightens each w of the left factor past each y-monomial of the
-right factor once per call, letter by letter along one reduced word of w;
-t_i y^a u = y^{s_i a} (s_i u) + d_i(y^a) u, where s_i u swaps values i, i+1.
+letter acts on a term by t_i y^a u = y^{s_i a} (s_i u) + d_i(y^a) u, where
+s_i u swaps the values i and i+1 of u.  A product a * b lets each
+permutation w of a act on the whole of b: within one call the images
+w * b are memoised, each built one letter from a shorter one, and a term
+y^ea * w of a only shifts the exponents of its image.
 
 Permutations are stored in one-line notation; the product w * v means
 "apply v first".
@@ -43,11 +45,6 @@ def simple_transposition(i: int, n: int) -> Perm:
     line = list(range(1, n + 1))
     line[i - 1], line[i] = line[i], line[i - 1]
     return tuple(line)
-
-
-def compose(w: Perm, v: Perm) -> Perm:
-    """(w * v)(x) = w(v(x)): v acts first."""
-    return tuple([w[x - 1] for x in v])
 
 
 def reduced_word(w: Perm) -> list[int]:
@@ -152,37 +149,32 @@ def from_generator(kind: str, index: int, n: int) -> HeckeElement:
         if not 1 <= index <= n:
             raise ValueError(f"y index must be in 1..{n}, got {index}")
         exps = tuple(1 if k == index - 1 else 0 for k in range(n))
-        return HeckeElement(n, {(exps, identity_perm(n)): 1})
+        return HeckeElement._trusted({(exps, identity_perm(n)): 1}, n)
     if kind == "t":
-        return HeckeElement(
-            n, {((0,) * n, simple_transposition(index, n)): 1}
-        )
+        return HeckeElement._trusted({((0,) * n, simple_transposition(index, n)): 1}, n)
     raise ValueError(f"generator kind must be 'y' or 't', got {kind!r}")
 
 
-def _word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n: int) -> dict[Term, int]:
-    """(t_{word[0]} ... t_{word[-1]}) * y^exps in normal form.
+def _times_letter(i: int, terms: Mapping[Term, int]) -> dict[Term, int]:
+    """t_i times a combination of terms y^a * u, in normal form.
 
     With p = a_i, q = a_{i+1} and lo, hi = sorted((p, q)), d_i(y^a) is
     sign(q - p) times the monomials with entries (hi - 1 - k, lo + k) at
     i-1 and i, for k < hi - lo.
     """
-    terms: dict[Term, int] = {(exps, identity_perm(n)): 1}
-    for i in reversed(word):
-        new: dict[Term, int] = {}
-        for (a, u), c in terms.items():
-            p, q = a[i - 1], a[i]
-            head, tail = a[: i - 1], a[i + 1:]
-            swapped = list(u)
-            swapped[u.index(i)], swapped[u.index(i + 1)] = i + 1, i
-            key = (head + (q, p) + tail, tuple(swapped))
-            new[key] = new.get(key, 0) + c
-            lo, hi, sign = (p, q, c) if p < q else (q, p, -c)
-            for k in range(hi - lo):
-                key = (head + (hi - 1 - k, lo + k) + tail, u)
-                new[key] = new.get(key, 0) + sign
-        terms = {t: c for t, c in new.items() if c}
-    return terms
+    new: dict[Term, int] = {}
+    for (a, u), c in terms.items():
+        p, q = a[i - 1], a[i]
+        head, tail = a[: i - 1], a[i + 1:]
+        swapped = list(u)
+        swapped[u.index(i)], swapped[u.index(i + 1)] = i + 1, i
+        key = (head + (q, p) + tail, tuple(swapped))
+        new[key] = new.get(key, 0) + c
+        lo, hi, sign = (p, q, c) if p < q else (q, p, -c)
+        for k in range(hi - lo):
+            key = (head + (hi - 1 - k, lo + k) + tail, u)
+            new[key] = new.get(key, 0) + sign
+    return {t: c for t, c in new.items() if c}
 
 
 def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n: int) -> HeckeElement:
@@ -196,47 +188,69 @@ def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n:
             raise TypeError(f"generator index must be an integer, got {i!r}")
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} out of range for rank {n}")
-    [(exps, _)] = HeckeElement(n, {(tuple(exps), identity_perm(n)): 1}).terms
-    return HeckeElement._trusted(_word_times_poly(tuple(map(int, word)), exps, n), n)
+    terms = HeckeElement(n, {(tuple(exps), identity_perm(n)): 1}).terms
+    for i in reversed(tuple(map(int, word))):
+        terms = _times_letter(i, terms)
+    return HeckeElement._trusted(terms, n)
 
 
 MAX_PRODUCT_SIZE = 400_000
-"""Most terms times rank a product may build; every term holds two rank-long tuples."""
+"""Most terms times rank a product, a sum or a product's memo may hold;
+every term holds two rank-long tuples."""
+
+
+def _too_large(what: str, size: int, n: int, where: str) -> ValueError:
+    return ValueError(
+        f"{what} may have at most {MAX_PRODUCT_SIZE} terms times rank, "
+        f"got {size} terms at rank {n} {where}"
+    )
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in normal form; each w * y^eb is straightened once per call.
+    """Product in normal form, from the images w * b of the permutations w of a.
 
-    Raises ValueError as soon as the terms built so far, times the rank,
-    pass MAX_PRODUCT_SIZE; it is checked after each term of a.
+    The image of the identity is b.  A missing image is built from the
+    nearest memoised one: w * b = t_i (s_i w * b) when i is a left descent
+    of w (value i + 1 comes before value i), so the least one is peeled,
+    one letter at a time.  Each term y^ea * w of a then adds y^ea times the
+    image of w, which only shifts exponents.
+
+    Raises ValueError as soon as an image, or the terms of the product
+    built so far, times the rank, pass MAX_PRODUCT_SIZE: an image is checked
+    when its letter builds it, the product after each term of a.  When the
+    memo's terms times rank pass it, the memo is emptied back to b.
     """
     if not a._same_ring(b):
         raise TypeError(f"cannot multiply a HeckeElement by {type(b).__name__}")
     n = a.ring
-    zero = (0,) * n
-    words: dict[Perm, list[int]] = {}
-    straightened: dict[tuple[Perm, Exps], list[tuple[Term, int]]] = {}
+    identity = identity_perm(n)
+    images: dict[Perm, Mapping[Term, int]] = {identity: b.terms}
+    held = len(b.terms)
     out: dict[Term, int] = {}
     for (ea, w), ca in a.terms.items():
-        for (eb, v), cb in b.terms.items():
-            wy = straightened.get((w, eb))
-            if wy is None:
-                if eb == zero:
-                    wy = [((eb, w), 1)]
-                else:
-                    if w not in words:
-                        words[w] = reduced_word(w)
-                    wy = list(_word_times_poly(words[w], eb, n).items())
-                straightened[(w, eb)] = wy
-            c = ca * cb
-            for (em, u), cm in wy:
-                key = (tuple(map(add, ea, em)), compose(u, v))
-                out[key] = out.get(key, 0) + c * cm
+        if w not in images:
+            inverse = sorted(range(n), key=w.__getitem__)  # inverse[x - 1] is where x stands
+            line, peeled = list(w), []
+            while (u := tuple(line)) not in images:
+                i = next(i for i in range(1, n) if inverse[i] < inverse[i - 1])
+                peeled.append((i, u))
+                inverse[i - 1], inverse[i] = inverse[i], inverse[i - 1]
+                line[inverse[i - 1]], line[inverse[i]] = i, i + 1
+            image = images[u]
+            for i, u in reversed(peeled):
+                image = _times_letter(i, image)
+                if len(image) * n > MAX_PRODUCT_SIZE:
+                    raise _too_large("a product", len(image), n,
+                                     "in one permutation of its left factor times its right factor")
+                held += len(image)
+                if held * n > MAX_PRODUCT_SIZE:
+                    images, held = {identity: b.terms}, len(b.terms) + len(image)
+                images[u] = image
+        for (eb, v), c in images[w].items():
+            key = (tuple(map(add, ea, eb)), v)
+            out[key] = out.get(key, 0) + ca * c
         if len(out) * n > MAX_PRODUCT_SIZE:
-            raise ValueError(
-                f"a product may have at most {MAX_PRODUCT_SIZE} terms times rank, "
-                f"got {len(out)} terms at rank {n} before it was complete"
-            )
+            raise _too_large("a product", len(out), n, "before it was complete")
     return HeckeElement._trusted(out, n)
 
 
@@ -364,6 +378,8 @@ class _Parser:
             op = self.take()[1]
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+            if len(value.terms) * self.n > MAX_PRODUCT_SIZE:
+                raise _too_large("a sum", len(value.terms), self.n, "in the expression")
         return value
 
     def term(self) -> HeckeElement:

@@ -13,9 +13,8 @@ import fockspace.hecke as hecke_module
 from fockspace.hecke import (
     MAX_NESTING,
     HeckeElement,
-    _word_times_poly,
+    _times_letter,
     all_reduced_words,
-    compose,
     from_generator,
     identity_perm,
     multiply,
@@ -63,6 +62,11 @@ def test_cross_relation_examples():
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         multiply(HeckeElement.one(2), HeckeElement.one(3))
+
+
+def compose(w, v):
+    """(w * v)(x) = w(v(x)): v acts first."""
+    return tuple([w[x - 1] for x in v])
 
 
 def test_permutation_helpers():
@@ -296,7 +300,8 @@ def slow_multiply(a, b):
 def test_closed_form_matches_peeling_for_exponents_up_to_4(n):
     for i in range(1, n):
         for exps in itertools.product(range(5), repeat=n):
-            assert _word_times_poly((i,), exps, n) == slow_tau_times_monomial(i, exps, n), (i, exps)
+            one = {(exps, identity_perm(n)): 1}
+            assert _times_letter(i, one) == slow_tau_times_monomial(i, exps, n), (i, exps)
 
 
 @st.composite
@@ -326,6 +331,53 @@ def element_pairs(draw):
 def test_multiply_matches_the_uncached_product(pair):
     a, b = pair
     assert multiply(a, b) == slow_multiply(a, b)
+
+
+def seeded_factor(rng, n, perms, degrees):
+    terms = {}
+    for perm in perms:
+        exps = [0] * n
+        for _ in range(rng.choice(degrees)):
+            exps[rng.randrange(n)] += 1
+        terms[(tuple(exps), perm)] = rng.choice((-2, -1, 1, 3))
+    return HeckeElement(n, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_multiply_matches_the_oracle_on_seeded_pairs(n):
+    """Left factors hold the longest permutation, right factors non-identity
+    permutations (but at rank 1) on monomials of degree 2-3."""
+    rng = random.Random(1000 + n)
+    longest = tuple(range(n, 0, -1))
+    others = [p for p in itertools.permutations(range(1, n + 1)) if p != identity_perm(n)]
+    for _ in range(8):
+        left = [longest] + [tuple(rng.sample(range(1, n + 1), n)) for _ in range(rng.randint(0, 3))]
+        right = [rng.choice(others or [identity_perm(n)]) for _ in range(rng.randint(1, 4))]
+        a = seeded_factor(rng, n, left, (0, 1, 2))
+        b = seeded_factor(rng, n, right, (2, 3))
+        assert multiply(a, b) == slow_multiply(a, b)
+
+
+def test_a_memo_emptied_mid_product_leaves_the_product_unchanged(monkeypatch):
+    n = 4
+    a = HeckeElement(n, {
+        ((k % 2, 0, 0, 0), perm): 1 for k, perm in enumerate(itertools.permutations(range(1, n + 1)))
+    })
+    b = parse_expression("y1*y2*y2 + y3*y4*y4 + 2*t1*t3*y3*y4*y1", n)
+    letters = []
+
+    def counted(i, terms):
+        letters.append(i)
+        return _times_letter(i, terms)
+
+    monkeypatch.setattr(hecke_module, "_times_letter", counted)
+    full = multiply(a, b)
+    assert len(letters) == 23  # one letter per permutation but the identity
+    assert full == slow_multiply(a, b)
+    letters.clear()
+    monkeypatch.setattr(hecke_module, "MAX_PRODUCT_SIZE", n * 330)  # b and all 23 images: 447 terms
+    assert multiply(a, b) == full
+    assert len(letters) > 23  # images forgotten with the memo were built again
 
 
 def peeled_oracle(q, base=100):
@@ -380,6 +432,29 @@ def test_a_product_past_the_size_limit_stops_before_it_is_complete(monkeypatch):
         multiply(a, b)
     built = int(re.search(r"got (\d+) terms at rank 3", str(info.value)).group(1))
     assert 10 < built < full  # checked after each term of a, not at the end
+
+
+def test_a_one_term_left_factor_is_refused_before_the_product_is_built(monkeypatch):
+    longest = parse_expression("t1*t2*t1*t3*t2*t1", 4)
+    b = parse_expression("(t1+y1)*(t2+y2)*(t3+y3)*(t1+y4)", 4)
+    full = len(multiply(longest, b).terms)
+    monkeypatch.setattr(hecke_module, "MAX_PRODUCT_SIZE", 4 * (full // 2))
+    message = r"got (\d+) terms at rank 4 in one permutation of its left factor times its right factor"
+    with pytest.raises(ValueError, match=message) as info:
+        multiply(longest, b)
+    assert int(re.search(message, str(info.value)).group(1)) < full  # a shorter image passed it
+
+
+def test_a_sum_up_to_the_size_limit_is_built(monkeypatch):
+    expected = parse_expression("y1 + y2 - y1*y2", 2)
+    monkeypatch.setattr(hecke_module, "MAX_PRODUCT_SIZE", 2 * 3)
+    assert parse_expression("y1 + y2 - y1*y2", 2) == expected
+    monkeypatch.setattr(hecke_module, "MAX_PRODUCT_SIZE", 2 * 2)
+    for expr in ("y1 + y2 - y1*y2", "y1 - y2 + y1*y2", "(y1 + y2 + t1) * 1"):
+        with pytest.raises(ValueError, match=re.escape(
+            "a sum may have at most 4 terms times rank, got 3 terms at rank 2 in the expression"
+        )):
+            parse_expression(expr, 2)
 
 
 def test_normal_form_command_refuses_a_product_past_the_size_limit(monkeypatch, capsys):
