@@ -82,7 +82,8 @@ class Command(NamedTuple):
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(text)  # no text + "\n": that copies the whole output
+    sys.stdout.write("\n")
 
 
 def _check_limit(flag: str, value: int, bound: int) -> None:
@@ -96,7 +97,7 @@ def _run_crystal(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(graph.dot())
     else:
-        _emit(json.dumps(graph.json_dict()))
+        _emit(graph.json_text())
     return 0
 
 

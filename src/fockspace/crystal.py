@@ -12,10 +12,17 @@ residue from one bracket scan per node (``_cogood_rows``), kept for the last
 node asked about, so the crystal export walks each node's rim once.
 ``signature``, ``reduced_signature``, ``good_box`` and ``cogood_box`` build
 the words themselves and are the oracle the scans are checked against.
+
+``crystal_graph`` keeps the export lean: a node's weight shares every
+(residue, count) pair but one with its parent's, each edge target is the
+node object itself, and ``CrystalGraph.json_text`` writes the JSON text
+straight from the graph, with no dict per node, weight or edge.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -143,19 +150,27 @@ class CrystalGraph(NamedTuple):
         """The text of each node, formatted once, in node order."""
         return {p: str(p) for p, _ in self.nodes}
 
-    def json_dict(self) -> dict:
+    def json_text(self) -> str:
+        """The JSON of the graph, laid out as ``json.dumps`` lays it out.
+
+        Labels hold only brackets, digits and commas, and every other value
+        is an int, so no string needs escaping.
+        """
         labels = self._labels()
-        return {
-            "modulus": self.modulus,
-            "nodes": [
-                {"partition": labels[p], "size": p.size, "weight": w.json_dict()}
-                for p, w in self.nodes
-            ],
-            "edges": [
-                {"src": labels[src], "dst": labels[dst], "residue": i}
-                for src, dst, i in self.edges
-            ],
-        }
+        nodes = ", ".join(
+            f'{{"partition": "{labels[p]}", "size": {p.size}, "weight": {{'
+            + ", ".join(f'"{i}": {m}' for i, m in w.alpha)
+            + "}}"  # closes the weight, then the node
+            for p, w in self.nodes
+        )
+        edges = ", ".join(
+            f'{{"src": "{labels[src]}", "dst": "{labels[dst]}", "residue": {i}}}'
+            for src, dst, i in self.edges
+        )
+        return f'{{"modulus": {json.dumps(self.modulus)}, "nodes": [{nodes}], "edges": [{edges}]}}'
+
+    def json_dict(self) -> dict:
+        return json.loads(self.json_text())
 
     def dot(self) -> str:
         labels = self._labels()
@@ -175,7 +190,10 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     increasing order, so the edges come out sorted by source (nodes are
     ordered by size) and residue.  f_tilde reads the node's cogood rows,
     found in one rim walk (e_tilde would read the residue-i scan, _i_rim).
-    A weight is that of an earlier node, p less its last box, plus that box.
+    Each edge target is the node equal to the f_tilde image, not a copy.
+    A weight is that of an earlier node, p less its last box, plus that
+    box: the parent's sorted pairs with the one of that box's residue
+    replaced or inserted, every other pair shared.
     """
     check_modulus(e)
     if d < 0:
@@ -184,16 +202,21 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     alphas = {(): ()}  # partition -> Weight.alpha
     for p in nodes[1:]:
         k = len(p)
-        counts = dict(alphas[p[:-1] + ((p[-1] - 1,) if p[-1] > 1 else ())])
+        alpha = alphas[p[:-1] + ((p[-1] - 1,) if p[-1] > 1 else ())]
         r = (p[-1] - k) % e if e else p[-1] - k  # residue of the last box
-        counts[r] = counts.get(r, 0) + 1
-        alphas[p] = tuple(sorted(counts.items()))
+        slot = bisect_left(alpha, (r,))
+        if slot < len(alpha) and alpha[slot][0] == r:
+            alphas[p] = alpha[:slot] + ((r, alpha[slot][1] + 1),) + alpha[slot + 1:]
+        else:
+            alphas[p] = alpha[:slot] + ((r, 1),) + alpha[slot:]
+    node = {p: p for p in nodes}
     edges = []
     for p in nodes:
         if p.size == d:  # the last layer; its f_tilde images lie outside the graph
             break
         for i in sorted(_cogood_rows(p, e)):
-            edges.append((p, f_tilde(p, i, e), i))
+            q = f_tilde(p, i, e)  # off the graph only when f_tilde is wrong; verify says so
+            edges.append((p, node.get(q, q), i))
     return CrystalGraph(
         modulus=e,
         max_size=d,

@@ -295,3 +295,69 @@ def test_crystal_graph_calls_f_tilde_once_per_edge(monkeypatch):
     monkeypatch.setattr(crystal_module, "f_tilde", counting)
     edges = crystal_graph(3, 4).edges
     assert calls == [(src, i) for src, _, i in edges]
+
+
+def _oracle_dict(graph):
+    """The JSON object of a graph, one dict per node, weight and edge."""
+    labels = {p: str(p) for p, _ in graph.nodes}
+    return {
+        "modulus": graph.modulus,
+        "nodes": [
+            {"partition": labels[p], "size": p.size, "weight": w.json_dict()}
+            for p, w in graph.nodes
+        ],
+        "edges": [
+            {"src": labels[src], "dst": labels[dst], "residue": i}
+            for src, dst, i in graph.edges
+        ],
+    }
+
+
+GRAPH_SETTINGS = [(e, d) for e in (0, 2, 3, 5, 7, 10**21) for d in range(13)]
+
+
+def _first_text_unlike_the_oracle():
+    """The first (e, d) whose json_text is not json.dumps of the oracle dict."""
+    for e, d in GRAPH_SETTINGS:
+        graph = crystal_graph(e, d)
+        if graph.json_text() != json.dumps(_oracle_dict(graph)):
+            return e, d
+    return None
+
+
+def test_json_text_equals_the_dumped_oracle_dict():
+    # d = 0 gives "weight": {} and no edges, e = 0 negative residue keys
+    assert _first_text_unlike_the_oracle() is None
+    for e, d in ((0, 6), (3, 0), (10**21, 4)):
+        graph = crystal_graph(e, d)
+        assert graph.json_dict() == _oracle_dict(graph)
+
+
+def test_json_text_check_catches_a_mutant_writer(monkeypatch):
+    import fockspace.crystal as crystal_module
+
+    original = crystal_module.CrystalGraph.json_text
+
+    def tight(graph):  # "," and ":" with no space after them
+        return original(graph).replace(", ", ",").replace(": ", ":")
+
+    def reversed_weights(graph):  # each weight's pairs in decreasing residue order
+        nodes = tuple((p, w._replace(alpha=w.alpha[::-1])) for p, w in graph.nodes)
+        return original(graph._replace(nodes=nodes))
+
+    monkeypatch.setattr(crystal_module.CrystalGraph, "json_text", tight)
+    assert _first_text_unlike_the_oracle() == (0, 0)
+    monkeypatch.setattr(crystal_module.CrystalGraph, "json_text", reversed_weights)
+    assert _first_text_unlike_the_oracle() == (0, 2)
+
+
+@pytest.mark.parametrize("e", [0, 2, 3, 5])
+def test_edge_targets_and_weight_pairs_are_shared_with_the_nodes(e):
+    graph = crystal_graph(e, 9)
+    nodes = {id(p) for p, _ in graph.nodes}
+    assert all(id(src) in nodes and id(dst) in nodes for src, dst, _ in graph.edges)
+    alphas = {p: w.alpha for p, w in graph.nodes}
+    for p, w in graph.nodes[1:]:
+        parent = alphas[p[:-1] + ((p[-1] - 1,) if p[-1] > 1 else ())]
+        new = [pair for pair in w.alpha if not any(pair is old for old in parent)]
+        assert len(new) == 1  # the pair of the last box's residue
