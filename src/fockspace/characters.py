@@ -27,7 +27,7 @@ smaller ones, so the loop terminates.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product, repeat
+from itertools import combinations_with_replacement, product, repeat
 from operator import add
 from typing import Iterator, Mapping
 
@@ -225,39 +225,35 @@ def complete_homogeneous(k: int, n: int) -> SymPolynomial:
 
 
 def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
-    """The Schur polynomial as det(h_{p_i - i + j}); oracle for ``schur``."""
+    """The Schur polynomial as det(h_{p_i - i + j}); oracle for ``schur``.
+
+    Laplace expansion along the top row, each minor (the bottom rows against
+    a set of columns) computed once: ell * 2^(ell-1) products, not the ell!
+    of the Leibniz sum.  Entries h_k with k < 0 are zero and skipped.
+    """
     ell = len(p)
-    if ell == 0:
-        return SymPolynomial.one(n)
     if ell > n:
         # the determinant also vanishes, but short-circuit for speed
         return SymPolynomial.zero(n)
-    h = {}
-    for i in range(1, ell + 1):
-        for j in range(1, ell + 1):
-            k = p[i - 1] - i + j
-            if k not in h:
-                h[k] = complete_homogeneous(k, n)
-    total = SymPolynomial.zero(n)
-    for sigma in permutations(range(1, ell + 1)):
-        sign = _permutation_sign(sigma)
-        prod = SymPolynomial.one(n)
-        for i, j in enumerate(sigma, start=1):
-            prod = prod * h[p[i - 1] - i + j]
-            if prod.is_zero():
-                break
-        total = total + sign * prod
-    return total
+    h: dict[int, SymPolynomial] = {}
+    minors = {(): SymPolynomial.one(n)}
 
+    def minor(cols: tuple[int, ...]) -> SymPolynomial:
+        """The determinant of the last len(cols) rows against the columns cols."""
+        if cols not in minors:
+            row = ell - len(cols)
+            total = SymPolynomial.zero(n)
+            for t, j in enumerate(cols):
+                k = p[row] - row + j
+                if k >= 0:
+                    if k not in h:
+                        h[k] = complete_homogeneous(k, n)
+                    term = h[k] * minor(cols[:t] + cols[t + 1:])
+                    total = total - term if t % 2 else total + term
+            minors[cols] = total
+        return minors[cols]
 
-def _permutation_sign(sigma: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for a in range(len(sigma))
-        for b in range(a + 1, len(sigma))
-        if sigma[a] > sigma[b]
-    )
-    return -1 if inversions % 2 else 1
+    return minor(tuple(range(ell)))
 
 
 def restrict_last_var(f: SymPolynomial) -> SymPolynomial:

@@ -86,12 +86,13 @@ DEFAULT_SEED = 20240801
 # Graded operator matrices
 #
 # The relation checks compare e_i, f_i and h_i as matrices, one graded piece
-# at a time.  A matrix out of degree d is held in column form: one
-# {row index: coefficient} dict per partition of d, in the order of
-# partitions_of(d), or None when it is zero.  Its rows index the partitions
-# of the target degree in the same order, so a product is composition.
+# at a time.  A matrix out of degree d is held in column form: a
+# {column index: {row index: coefficient}} dict of its nonzero columns, or
+# None when it is zero.  Columns index the partitions of d and rows those of
+# the target degree, both in the order of partitions_of, so a product is
+# composition.
 
-Columns = list[dict[int, int]]
+Columns = dict[int, dict[int, int]]
 
 
 def _op_columns(e: int) -> Callable[[str, int, int], Optional[Columns]]:
@@ -104,11 +105,11 @@ def _op_columns(e: int) -> Callable[[str, int, int], Optional[Columns]]:
     def get(kind: str, i: int, d: int) -> Optional[Columns]:
         key = (kind, i, d)
         if key not in built:
-            built[key] = None
-            if d >= 0 and (m := op_matrix(kind, i, e, d)).entries:
-                built[key] = cols = [{} for _ in m.cols]
-                for r, c, v in m.entries:
-                    cols[c][r] = v
+            cols: Columns = {}
+            if d >= 0:
+                for r, c, v in op_matrix(kind, i, e, d).entries:
+                    cols.setdefault(c, {})[r] = v
+            built[key] = cols or None
         return built[key]
 
     return get
@@ -118,14 +119,16 @@ def _product(a: Optional[Columns], b: Optional[Columns]) -> Optional[Columns]:
     """The product a*b of two matrices in column form; None stands for zero."""
     if a is None or b is None:
         return None
-    out: Columns = []
-    for col in b:
+    out: Columns = {}
+    for c, col in b.items():
         acc: dict[int, int] = {}
         for r, v in col.items():
-            for s, w in a[r].items():
-                acc[s] = acc.get(s, 0) + v * w
-        out.append({s: x for s, x in acc.items() if x})
-    return out if any(out) else None
+            if r in a:
+                for s, w in a[r].items():
+                    acc[s] = acc.get(s, 0) + v * w
+        if nonzero := {s: x for s, x in acc.items() if x}:
+            out[c] = nonzero
+    return out or None
 
 
 Relation = Iterator[tuple[int, int, list[tuple[int, Optional[Columns]]]]]
@@ -140,25 +143,27 @@ def _first_counterexample(
     read per basis vector; it holds on v_lambda, |lambda| = d, when column
     lambda of sum(coeff * matrix for coeff, matrix in terms) is zero.  The
     report names the smallest failing (lambda, then yield order), which is
-    the first failure of the loop over lambda, then (i, j).
+    the first failure of the loop over lambda, then (i, j).  A column that
+    no term holds sums to zero, so only the terms' nonzero columns are read.
     """
     for d in range(max_size + 1):
-        lams = partitions_of(d)
         first = None
         for i, j, terms in relation(d):
             terms = [(k, m) for k, m in terms if k and m is not None]
-            # a later column than the first failure so far is never reported
-            for c in range(len(lams) if first is None else first[0]):
+            for c in sorted({c for _, m in terms for c in m}):
+                # a later column than the first failure so far is never reported
+                if first is not None and c >= first[0]:
+                    break
                 acc: dict[int, int] = {}
                 for k, m in terms:
-                    for r, v in m[c].items():
+                    for r, v in m.get(c, {}).items():
                         acc[r] = acc.get(r, 0) + k * v
                 if any(acc.values()):
                     first = (c, i, j)
                     break
         if first is not None:
             c, i, j = first
-            return f"lambda={lams[c]}, i={i}, j={j}, e={e}"
+            return f"lambda={partitions_of(d)[c]}, i={i}, j={j}, e={e}"
     return None
 
 
@@ -295,7 +300,7 @@ def check_serre(e: int, max_size: int) -> Optional[str]:
         """E_i^k out of degree d."""
         if (i, k, d) not in powers:
             if k == 0:
-                powers[i, k, d] = [{c: 1} for c in range(len(partitions_of(d)))] or None
+                powers[i, k, d] = {c: {c: 1} for c in range(len(partitions_of(d)))} or None
             else:
                 powers[i, k, d] = _product(op("e", i, d - k + 1), power(i, k - 1, d))
         return powers[i, k, d]
@@ -401,13 +406,12 @@ def _all_cancellations(word: str, memo: dict[str, frozenset[str]]) -> frozenset[
 def check_confluence(max_len: int) -> Optional[str]:
     """Every order of +- cancellations reaches the stack-scan normal form."""
     memo: dict[str, frozenset[str]] = {}
+    boxes = [Box(k + 1, 1) for k in range(max_len)]
     for length in range(max_len + 1):
         for bits in product("+-", repeat=length):
             word = "".join(bits)
             normal_forms = _all_cancellations(word, memo)
-            synthetic = Signature(
-                tuple((ch, Box(k + 1, 1)) for k, ch in enumerate(word))
-            )
+            synthetic = Signature(tuple(zip(word, boxes)))
             stacked = reduced_signature(synthetic).word
             if normal_forms != frozenset([stacked]):
                 return f"word={word}, forms={sorted(normal_forms)}, stack={stacked}"

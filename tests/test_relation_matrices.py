@@ -18,7 +18,7 @@ import pytest
 import fockspace.fock as fock
 import fockspace.verify as verify_module
 from fockspace.fock import FockVector
-from fockspace.partitions import Partition, partitions_up_to, residue_window
+from fockspace.partitions import Partition, partitions_of, partitions_up_to, residue_window
 from fockspace.verify import check_cartan_action, check_commutators, check_serre
 
 P = Partition
@@ -180,3 +180,61 @@ def test_a_wrong_cartan_entry_at_2_fails_both_forms_alike(monkeypatch, e):
 def test_the_first_failure_named_is_the_loops_first(monkeypatch, shifted, named):
     shift_h(monkeypatch, *shifted)
     assert check_commutators(0, 4) == loop_commutators(0, 4) == named
+
+
+def dense(m):
+    """A SparseMatrix as a list of rows."""
+    out = [[0] * len(m.cols) for _ in m.rows]
+    for r, c, v in m.entries:
+        out[r][c] = v
+    return out
+
+
+def dense_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def dense_of_columns(columns, n_rows, n_cols):
+    """A matrix in the checks' column form as a list of rows; None is zero."""
+    out = [[0] * n_cols for _ in range(n_rows)]
+    for c, col in (columns or {}).items():
+        for r, v in col.items():
+            out[r][c] = v
+    return out
+
+
+@pytest.mark.parametrize("e", MODULI)
+def test_column_products_match_dense_products(e):
+    op = verify_module._op_columns(e)
+    for d in range(1, 7):
+        window = residue_window(e, d + 1)
+        for i in window:
+            for j in window:
+                # (a, b) = (kind, residue, degree) of each factor; a follows b
+                for a, b in [
+                    (("e", i, d + 1), ("f", j, d)),
+                    (("f", j, d - 1), ("e", i, d)),
+                    (("h", i, d - 1), ("e", j, d)),
+                    (("e", j, d), ("h", i, d)),
+                    (("e", i, d - 1), ("e", j, d)),
+                ]:
+                    expected = dense_product(dense(fock.op_matrix(*a[:2], e, a[2])),
+                                             dense(fock.op_matrix(*b[:2], e, b[2])))
+                    got = verify_module._product(op(*a), op(*b))
+                    # only nonzero columns, each with only nonzero entries
+                    assert got is None or all(all(col.values()) for col in got.values()), (a, b)
+                    shape = (len(expected), len(partitions_of(d)))
+                    assert dense_of_columns(got, *shape) == expected, (a, b)
+                    assert (got is None) == (not any(map(any, expected))), (a, b)
+
+
+def test_the_first_failure_is_a_column_that_only_one_term_holds():
+    """Column 0 cancels in every pair; column 2, then column 1, are held by one term only."""
+
+    def relation(d):
+        if d == 3:
+            yield 0, 0, [(1, {0: {0: 1}, 2: {1: 1}}), (-1, {0: {0: 1}}), (1, None)]
+            yield 1, 1, [(1, {0: {0: 1}}), (0, {1: {0: 5}}), (-1, {0: {0: 1}, 1: {0: 2}})]
+            yield 2, 2, [(1, {0: {0: 1}}), (1, {0: {0: -1}})]
+
+    assert verify_module._first_counterexample(0, 4, relation) == "lambda=[2,1], i=1, j=1, e=0"

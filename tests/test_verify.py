@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+import fockspace.characters as characters
 import fockspace.verify as verify_module
-from fockspace.partitions import Partition
+from fockspace.crystal import Signature
+from fockspace.partitions import MINUS, Partition
 from fockspace.verify import (
     CHECKS,
     DEFAULT_SEED,
@@ -13,6 +15,7 @@ from fockspace.verify import (
     check_confluence,
     check_connectivity,
     check_core_well_defined,
+    check_jacobi_trudi,
     check_reduced_word_independence,
     check_residue_partition,
     check_rim_hooks_agree,
@@ -69,6 +72,30 @@ def test_counterexamples_are_none_on_pass():
 
 def test_confluence_reference():
     assert check_confluence(8) is None
+
+
+def test_confluence_catches_a_scan_that_cancels_minus_plus(monkeypatch):
+    def cancel_minus_plus(sig):
+        minuses, pluses = [], []
+        for symbol in sig.symbols:
+            if symbol[0] == MINUS:
+                minuses.append(symbol)
+            elif minuses:
+                minuses.pop()
+            else:
+                pluses.append(symbol)
+        return Signature(tuple(pluses + minuses))
+
+    monkeypatch.setattr(verify_module, "reduced_signature", cancel_minus_plus)
+    assert check_confluence(6) == "word=+-, forms=[''], stack=+-"
+
+
+def test_jacobi_trudi_catches_a_doubled_h2(monkeypatch):
+    original = characters.complete_homogeneous
+    monkeypatch.setattr(
+        characters, "complete_homogeneous", lambda k, n: (2 if k == 2 else 1) * original(k, n)
+    )
+    assert check_jacobi_trudi(5, 4) == "lambda=[2], n=1"
 
 
 def test_connectivity_both_regimes():
