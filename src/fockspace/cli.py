@@ -1,10 +1,10 @@
 """Command-line surface: one JSON-printing subcommand per operation.
 
 ``COMMANDS`` describes every subcommand once.  A well-formed request is read
-straight from that table by ``_read_request``; anything else (help,
-``--profile``, abbreviated flags, mistakes) goes to the argparse tree that
-``_build_parser`` derives from the same table, which also prints every help
-text and usage error.
+by ``_read_request`` from ``READERS``, a table derived from COMMANDS once, at
+import; anything else (help, ``--profile``, abbreviated flags, mistakes)
+goes to the argparse tree that ``_build_parser`` derives from the same
+table, which also prints every help text and usage error.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
 errors (including malformed partition text, which is reported with the
@@ -137,10 +137,15 @@ def _run_blocks(args: argparse.Namespace) -> int:
     return 0
 
 
+# core, branch, pieri and hecke normal-form write their JSON text directly,
+# laid out as json.dumps lays it out: a partition label holds only brackets,
+# digits and commas, so no string needs escaping.
+
+
 def _run_core(args: argparse.Namespace) -> int:
     p = Partition.parse(args.partition)
     core, hooks_removed = core_and_weight(p, args.modulus)
-    _emit(json.dumps({"core": str(core), "p_weight": hooks_removed}))
+    _emit(f'{{"core": "{core}", "p_weight": {hooks_removed}}}')
     return 0
 
 
@@ -150,24 +155,27 @@ def _run_casimir(args: argparse.Namespace) -> int:
     return 0
 
 
+def _label_list(partitions: Sequence[Partition]) -> str:
+    return "[" + ", ".join(f'"{q}"' for q in partitions) + "]"
+
+
 def _run_branch(args: argparse.Namespace) -> int:
     p = Partition.parse(args.partition)
     _check_limit("the size of --partition", p.size, MAX_CHARACTER_SIZE)
-    _emit(json.dumps([str(q) for q in branch_r1(p, args.n)]))
+    _emit(_label_list(branch_r1(p, args.n)))
     return 0
 
 
 def _run_pieri(args: argparse.Namespace) -> int:
     p = Partition.parse(args.partition)
     _check_limit("the size of --partition", p.size, MAX_CHARACTER_SIZE)
-    _emit(json.dumps([str(q) for q in pieri_mult(p, args.n)]))
+    _emit(_label_list(pieri_mult(p, args.n)))
     return 0
 
 
 def _run_hecke_normal_form(args: argparse.Namespace) -> int:
     _check_limit("--rank", args.rank, MAX_HECKE_RANK)
-    element = parse_expression(args.expr, args.rank)
-    _emit(json.dumps(element.json_list()))
+    _emit(parse_expression(args.expr, args.rank).json_text())
     return 0
 
 
@@ -278,6 +286,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parsers[()]
 
 
+def _readers() -> dict[tuple[str, ...], tuple[dict[str, Any], dict[str, tuple], frozenset[str]]]:
+    """What ``_read_request`` needs of each runnable COMMANDS path.
+
+    Per path: the namespace argparse starts from (every option default of
+    the path and its ancestors, the ``*_command`` dests and ``run``), each
+    flag's ``(dest, type, choices)``, and the set of required flags.
+    """
+    readers = {}
+    for path, command in COMMANDS.items():
+        if command.run is None:
+            continue
+        defaults: dict[str, Any] = {"run": command.run}
+        for depth in range(len(path) + 1):
+            for option in COMMANDS[path[:depth]].options:
+                defaults[option.dest] = option.default
+            if depth < len(path):
+                defaults[_subcommand_dest(path[:depth])] = path[depth]
+        readers[path] = (
+            defaults,
+            {option.flag: (option.dest, option.type, option.choices) for option in command.options},
+            frozenset(option.flag for option in command.options if option.required),
+        )
+    return readers
+
+
+READERS = _readers()
+"""Built once, at import, so that reading a request touches no Option."""
+
+
 def _read_request(argv: Sequence[str]) -> argparse.Namespace | None:
     """The namespace argparse returns for ``argv`` if it is a plain request, else None.
 
@@ -288,37 +325,34 @@ def _read_request(argv: Sequence[str]) -> argparse.Namespace | None:
     else the reader gives up and leaves the request to argparse.
     """
     path = tuple(argv[:1])
-    if path in COMMANDS and COMMANDS[path].run is None:  # a group: fock, hecke
-        path = tuple(argv[:2])
-    command = COMMANDS.get(path)
-    if command is None or command.run is None:
-        return None
-    values: dict[str, Any] = {"run": command.run}
-    for depth in range(len(path) + 1):
-        for option in COMMANDS[path[:depth]].options:
-            values[option.dest] = option.default
-        if depth < len(path):
-            values[_subcommand_dest(path[:depth])] = path[depth]
-    options = {option.flag: option for option in command.options}
+    if path not in READERS:
+        path = tuple(argv[:2])  # a group and its subcommand: fock op-matrix, hecke normal-form
+        if path not in READERS:
+            return None
+    defaults, options, required = READERS[path]
+    values = defaults.copy()
+    seen = set()
     tokens = iter(argv[len(path):])
     for flag in tokens:
-        option = options.pop(flag, None)
-        if option is None:  # not a flag of this command, or a repeated one
+        entry = options.get(flag)
+        if entry is None or flag in seen:  # a foreign or a repeated flag
             return None
-        if option.type is None:
-            values[option.dest] = True
+        seen.add(flag)
+        dest, convert, choices = entry
+        if convert is None:
+            values[dest] = True
             continue
         text = next(tokens, "-")  # a missing value reads like a flag
         if text.startswith("-"):
             return None
         try:
-            value = option.type(text)
+            value = convert(text)
         except (TypeError, ValueError):
             return None
-        if option.choices is not None and value not in option.choices:
+        if choices is not None and value not in choices:
             return None
-        values[option.dest] = value
-    if any(option.required for option in options.values()):
+        values[dest] = value
+    if not required <= seen:
         return None
     return argparse.Namespace(**values)
 

@@ -23,6 +23,7 @@ Permutations are stored in one-line notation; the product w * v means
 
 from __future__ import annotations
 
+import json
 import sys
 from itertools import repeat
 from operator import add
@@ -126,11 +127,19 @@ class HeckeElement(IntCombination):
     def sorted_terms(self) -> list[tuple[Term, int]]:
         return sorted(self.terms.items())
 
-    def json_list(self) -> list[dict]:
-        return [
-            {"exponents": list(exps), "permutation": list(perm), "coeff": c}
+    def json_text(self) -> str:
+        """The sorted terms as JSON, laid out as ``json.dumps`` lays it out.
+
+        Each term is ``{"exponents": [...], "permutation": [...], "coeff": c}``;
+        every value is an int or a list of ints, so nothing needs escaping.
+        """
+        return "[" + ", ".join(
+            f'{{"exponents": {list(exps)}, "permutation": {list(perm)}, "coeff": {c}}}'
             for (exps, perm), c in self.sorted_terms()
-        ]
+        ) + "]"
+
+    def json_list(self) -> list[dict]:
+        return json.loads(self.json_text())
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -1082,8 +1082,10 @@ SUITES: tuple[str, ...] = tuple(sorted({check.suite for check in CHECKS}))
 def run_verify(suite: str, e: int, d: int, seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run one named suite, or all of them in fixed name order.
 
-    An ``ArithmeticError`` inside a check is that check's failure, with the
-    message as the counterexample.
+    An exception inside a check is that check's failure.  The counterexample
+    of an ``ArithmeticError`` (a failed self-check) is its message; that of
+    any other exception, such as a wrong engine handing ``remove_box`` a box
+    that is not removable, is ``"<Type>: <message>"``.
     """
     check_modulus(e)
     if d < 0:
@@ -1100,6 +1102,8 @@ def run_verify(suite: str, e: int, d: int, seed: int = DEFAULT_SEED) -> VerifyRe
             counterexample = check.run(*params.values())
         except ArithmeticError as exc:
             counterexample = str(exc)
+        except Exception as exc:
+            counterexample = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
         passed = counterexample is None
         results.append(SuiteResult(check.suite, check.name, params, passed, counterexample, elapsed))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import deadline
 from fockspace import cli
 from fockspace.cli import main
+from fockspace.characters import branch_r1, pieri_mult
 from fockspace.crystal import e_tilde, f_tilde
 from fockspace.fock import FockVector, apply_f
 from fockspace.hecke import HeckeElement
@@ -27,9 +28,11 @@ from fockspace.partitions import (
     Partition,
     add_box,
     addable_boxes,
+    core_and_weight,
     i_corners,
     n_value,
     partitions_of,
+    partitions_up_to,
     remove_box,
     removable_boxes,
     removable_rim_hooks,
@@ -287,6 +290,31 @@ def test_branch_of_one_box_in_1500_variables(capsys):
     assert run_cli(capsys, "branch", "--partition", "[1]", "--n", "1500") == (0, '["[]"]\n', "")
 
 
+HUGE_CORE_REQUESTS = [
+    ("3", "[99999999999999999999999]"),
+    ("2", "[" + ",".join(["1"] * 5000) + "]"),
+    ("2", "[" + ",".join(str(k) for k in range(24, 0, -2)) + "]"),
+    (str(10**12), "[4,4,2,1]"),
+]
+
+
+def test_core_pieri_and_branch_text_equals_the_dumped_structures(capsys):
+    """The directly written JSON is json.dumps of the dict and lists it replaced."""
+    requests = [
+        (modulus, str(p)) for p in partitions_up_to(8) for modulus in ("0", "2", "3", "5")
+    ] + HUGE_CORE_REQUESTS
+    for modulus, text in requests:
+        core, weight = core_and_weight(Partition.parse(text), int(modulus))
+        expected = json.dumps({"core": str(core), "p_weight": weight}) + "\n"
+        assert run_cli(capsys, "core", "--modulus", modulus, "--partition", text) == (0, expected, "")
+    for p in partitions_up_to(8):
+        for n in (max(p.size, 1), p.size + 1, p.size + 4):
+            for command, expand in (("pieri", pieri_mult), ("branch", branch_r1)):
+                expected = json.dumps([str(q) for q in expand(p, n)]) + "\n"
+                got = run_cli(capsys, command, "--partition", str(p), "--n", str(n))
+                assert got == (0, expected, ""), (command, p, n)
+
+
 def test_hecke_normal_form_command(capsys):
     code, out, _ = run_cli(
         capsys, "hecke", "normal-form", "--rank", "2", "--expr", "t1*y2*t1"
@@ -419,6 +447,23 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     obj = json.loads(out)
     assert obj["passed"] is False
     assert obj["results"][0]["counterexample"] == "synthetic counterexample"
+
+
+def test_an_exception_inside_a_check_is_its_failure(monkeypatch, capsys):
+    import fockspace.partitions as partitions_module
+
+    original = partitions_module.removable_boxes
+
+    def wrong(p):
+        boxes = original(p)
+        return boxes[:-1] if len(p) == 3 else boxes
+
+    # remove_box then refuses a box that box_counts hands it
+    monkeypatch.setattr(partitions_module, "removable_boxes", wrong)
+    code, out, err = run_cli(capsys, "verify", "--suite", "crystal", "--modulus", "3", "--max-size", "6")
+    assert (code, err) == (1, "")
+    found = {r["name"]: r["counterexample"] for r in json.loads(out)["results"]}
+    assert found["box_counts"] == "ValueError: box (3, 1) is not removable from [1,1,1]"
 
 
 def test_verify_names_a_schur_expansion_that_does_not_cancel(monkeypatch, capsys, fresh_character_caches):
@@ -665,6 +710,37 @@ def near_requests(draw):
 @given(near_requests() | st.lists(st.sampled_from(TOKENS + VALUES), max_size=8))
 def test_reader_agrees_with_argparse(argv):
     assert_reader_agrees_with_argparse(argv)
+
+
+def test_reader_table_says_what_the_options_say():
+    assert list(cli.READERS) == RUNNABLE
+    for path, (defaults, flags, required) in cli.READERS.items():
+        options = cli.COMMANDS[path].options
+        assert flags == {
+            option.flag: (option.flag[2:].replace("-", "_"), option.type, option.choices)
+            for option in options
+        }
+        assert required == {option.flag for option in options if option.required}
+        subcommands = {"command": path[0]}
+        if len(path) == 2:
+            subcommands[f"{path[0]}_command"] = path[1]
+        assert defaults == {
+            "run": cli.COMMANDS[path].run,
+            "profile": False,
+            **subcommands,
+            **{option.dest: option.default for option in options},
+        }
+        # argparse, given only the required flags, fills in the same defaults
+        argv = list(path)
+        for flag in sorted(required):
+            choices = flags[flag][2]
+            argv += [flag, str(choices[0]) if choices else "1"]
+        parsed = _argparse_reads(argv)
+        assert parsed is not None, argv
+        given = {flags[flag][0] for flag in required}
+        assert {k: v for k, v in parsed.items() if k not in given} == {
+            k: v for k, v in defaults.items() if k not in given
+        }
 
 
 # sha256 of the stdout of the benchmark's crystal requests (its graph_export

@@ -233,6 +233,40 @@ def test_json_list_is_sorted_and_stable():
     ]
 
 
+def dict_oracle(element):
+    """The JSON structure built a dict and two lists per term: json_text's oracle."""
+    return [
+        {"exponents": list(exps), "permutation": list(perm), "coeff": c}
+        for (exps, perm), c in element.sorted_terms()
+    ]
+
+
+def json_text_cases():
+    """Seeded elements at ranks 1-5, with negative coefficients and some past 2**64."""
+    yield HeckeElement.zero(1)
+    yield HeckeElement.zero(3)
+    yield HeckeElement.one(1)
+    yield HeckeElement.scalar(-(2**64) - 1, 1)
+    rng = random.Random(26)
+    for n in (1, 2, 3, 4, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for _ in range(10):
+            element = seeded_factor(rng, n, rng.sample(perms, min(len(perms), 4)), (0, 1, 3))
+            yield element
+            yield rng.choice((-1, 1)) * (2**64 + rng.randrange(2**70)) * element
+            yield element * seeded_factor(rng, n, [rng.choice(perms)], (1, 2))
+
+
+def test_json_text_equals_the_dumped_dict_oracle():
+    cases = list(json_text_cases())
+    assert any(c < 0 for element in cases for c in element.terms.values())
+    assert any(abs(c) > 2**64 for element in cases for c in element.terms.values())
+    for element in cases:
+        assert element.json_text() == json.dumps(dict_oracle(element)), element
+        assert element.json_list() == dict_oracle(element)
+    assert HeckeElement.zero(2).json_text() == "[]"
+
+
 @pytest.mark.parametrize("rank", [sys.maxsize + 1, 2**64])
 def test_parse_expression_rejects_a_rank_no_tuple_can_have(rank):
     with pytest.raises(ValueError, match=f"rank must be at most {sys.maxsize}, got {rank}"):
