@@ -22,11 +22,16 @@ polynomials are independent second constructions used for cross-checking.
 Expanding in the Schur basis reads the dominant terms only: the greatest one
 is the leading term, a partition, and subtracting its Kostka row only leaves
 smaller ones, so the loop terminates.
+
+Two module caches live here, each reused within one request: the branching
+rule's sub-shapes (``_dominant_branch``) and the full terms of each Schur
+polynomial (``_schur_terms``).  ``_kostka`` and ``complete_homogeneous`` are
+not cached; ``schur_jacobi_trudi`` memoises its h_k and minors for the call.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement, product, repeat
 from operator import add
 from typing import Iterator, Mapping
@@ -136,7 +141,6 @@ def _rearrangements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         a[j + 1:] = a[:j:-1]
 
 
-@lru_cache(maxsize=4096)
 def _kostka(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The sorted (dominant exponent vector mu, K_shape,mu) pairs of s_shape(x_1..x_n).
 
@@ -144,8 +148,7 @@ def _kostka(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int]
     symmetric polynomial: s_shape = sum of K_shape,mu m_mu.  No mu has more
     than |shape| nonzero parts and the Kostka numbers do not depend on n, so
     past n = |shape| the row is the one in |shape| variables padded with
-    zeros, and the branching rule recurses at most |shape| + 1 deep.  The
-    value is a tuple, so no caller can change what the cache holds.
+    zeros, and the branching rule recurses at most |shape| + 1 deep.
     """
     if len(shape) > n:
         return ()
@@ -235,23 +238,19 @@ def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
     if ell > n:
         # the determinant also vanishes, but short-circuit for speed
         return SymPolynomial.zero(n)
-    h: dict[int, SymPolynomial] = {}
-    minors = {(): SymPolynomial.one(n)}
+    h = cache(complete_homogeneous)
 
+    @cache
     def minor(cols: tuple[int, ...]) -> SymPolynomial:
         """The determinant of the last len(cols) rows against the columns cols."""
-        if cols not in minors:
-            row = ell - len(cols)
-            total = SymPolynomial.zero(n)
-            for t, j in enumerate(cols):
-                k = p[row] - row + j
-                if k >= 0:
-                    if k not in h:
-                        h[k] = complete_homogeneous(k, n)
-                    term = h[k] * minor(cols[:t] + cols[t + 1:])
-                    total = total - term if t % 2 else total + term
-            minors[cols] = total
-        return minors[cols]
+        row = ell - len(cols)
+        total = SymPolynomial.zero(n) if cols else SymPolynomial.one(n)
+        for t, j in enumerate(cols):
+            k = p[row] - row + j
+            if k >= 0:
+                term = h(k, n) * minor(cols[:t] + cols[t + 1:])
+                total = total - term if t % 2 else total + term
+        return total
 
     return minor(tuple(range(ell)))
 

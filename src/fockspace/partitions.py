@@ -107,8 +107,13 @@ def check_modulus(e: int) -> int:
 
 
 def canonical_residue(value: int, e: int) -> int:
-    """Reduce an integer into [0, e); the identity when e == 0."""
+    """Reduce an int (a bool counts) into [0, e); the identity when e == 0.
+
+    Every residue argument passes through here, so any other type raises.
+    """
     check_modulus(e)
+    if not isinstance(value, int):
+        raise TypeError(f"residue must be an integer, got {value!r}")
     return value % e if e else value
 
 
@@ -246,6 +251,8 @@ def _partition_tuples(d: int, cap: int) -> tuple[tuple[int, ...], ...]:
 
 def partitions_of(d: int) -> list[Partition]:
     """All partitions of d in descending lexicographic order."""
+    if not isinstance(d, int):
+        raise TypeError(f"degree must be an integer, got {d!r}")
     if d < 0:
         return []
     return list(map(Partition._trusted, _partition_tuples(d, d if d else 1)))

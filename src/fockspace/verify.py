@@ -6,15 +6,21 @@ Every check sweeps an exhaustive parameter range and returns either None
 parameters once; the acceptance tests drive the same check functions at
 their own parameter ranges, so there is exactly one implementation of each
 property.
+
+No check keeps a memo past its own call.  Operator matrices, powers of e_i
+and the normal forms of a rewriting search are ``functools.cache`` closures
+made inside the check, so a patched engine never meets pieces built before
+the patch.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from functools import cache
 from itertools import permutations, product
 from operator import le
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 from .blocks import blocks
 from .casimir import casimir_scalar, x_eigenvalue, y_eigenvalue
@@ -100,17 +106,14 @@ def _op_columns(e: int) -> Callable[[str, int, int], Optional[Columns]]:
 
     Degrees below zero have no partitions, so their matrices are zero.
     """
-    built: dict[tuple[str, int, int], Optional[Columns]] = {}
 
+    @cache
     def get(kind: str, i: int, d: int) -> Optional[Columns]:
-        key = (kind, i, d)
-        if key not in built:
-            cols: Columns = {}
-            if d >= 0:
-                for r, c, v in op_matrix(kind, i, e, d).entries:
-                    cols.setdefault(c, {})[r] = v
-            built[key] = cols or None
-        return built[key]
+        cols: Columns = {}
+        if d >= 0:
+            for r, c, v in op_matrix(kind, i, e, d).entries:
+                cols.setdefault(c, {})[r] = v
+        return cols or None
 
     return get
 
@@ -294,16 +297,13 @@ def check_serre(e: int, max_size: int) -> Optional[str]:
     window = residue_window(e, max_size)
     pairs = [(i, j, 1 - cartan_entry(i, j, e)) for i in window for j in window if i != j]
     op = _op_columns(e)
-    powers: dict[tuple[int, int, int], Optional[Columns]] = {}
 
+    @cache
     def power(i: int, k: int, d: int) -> Optional[Columns]:
         """E_i^k out of degree d."""
-        if (i, k, d) not in powers:
-            if k == 0:
-                powers[i, k, d] = {c: {c: 1} for c in range(len(partitions_of(d)))} or None
-            else:
-                powers[i, k, d] = _product(op("e", i, d - k + 1), power(i, k - 1, d))
-        return powers[i, k, d]
+        if k == 0:
+            return {c: {c: 1} for c in range(len(partitions_of(d)))} or None
+        return _product(op("e", i, d - k + 1), power(i, k - 1, d))
 
     def relation(d: int) -> Relation:
         for i, j, m in pairs:
@@ -388,29 +388,30 @@ def check_weight_compat(e: int, max_size: int) -> Optional[str]:
     return None
 
 
-def _all_cancellations(word: str, memo: dict[str, frozenset[str]]) -> frozenset[str]:
-    if word in memo:
-        return memo[word]
-    spots = [k for k in range(len(word) - 1) if word[k] == "+" and word[k + 1] == "-"]
-    if not spots:
-        result = frozenset([word])
-    else:
-        acc: set[str] = set()
-        for k in spots:
-            acc |= _all_cancellations(word[:k] + word[k + 2:], memo)
-        result = frozenset(acc)
-    memo[word] = result
-    return result
+def _normal_forms(moves: Callable[[Hashable], Iterable[Hashable]]) -> Callable[[Hashable], frozenset]:
+    """The ends of every maximal sequence of moves from a state; the moves must terminate.
+
+    Each state is searched once for as long as the returned search lives,
+    so two searches never share results.
+    """
+
+    @cache
+    def forms(state: Hashable) -> frozenset:
+        return frozenset().union(*map(forms, moves(state))) or frozenset([state])
+
+    return forms
 
 
 def check_confluence(max_len: int) -> Optional[str]:
     """Every order of +- cancellations reaches the stack-scan normal form."""
-    memo: dict[str, frozenset[str]] = {}
+    normal_forms_of = _normal_forms(
+        lambda w: [w[:k] + w[k + 2:] for k in range(len(w) - 1) if w[k:k + 2] == "+-"]
+    )
     boxes = [Box(k + 1, 1) for k in range(max_len)]
     for length in range(max_len + 1):
         for bits in product("+-", repeat=length):
             word = "".join(bits)
-            normal_forms = _all_cancellations(word, memo)
+            normal_forms = normal_forms_of(word)
             synthetic = Signature(tuple(zip(word, boxes)))
             stacked = reduced_signature(synthetic).word
             if normal_forms != frozenset([stacked]):
@@ -578,26 +579,11 @@ def _brute_force_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Bo
     return hooks
 
 
-def _removal_results(p: Partition, e: int, memo: dict[Partition, frozenset[Partition]]) -> frozenset[Partition]:
-    if p in memo:
-        return memo[p]
-    hooks = _brute_force_rim_hooks(p, e)
-    if not hooks:
-        result = frozenset([p])
-    else:
-        acc: set[Partition] = set()
-        for _, mu in hooks:
-            acc |= _removal_results(mu, e, memo)
-        result = frozenset(acc)
-    memo[p] = result
-    return result
-
-
 def check_core_well_defined(e: int, max_size: int) -> Optional[str]:
     """Every maximal hook-removal sequence ends at the same core."""
-    memo: dict[Partition, frozenset[Partition]] = {}
+    removal_results = _normal_forms(lambda p: [mu for _, mu in _brute_force_rim_hooks(p, e)])
     for lam in partitions_up_to(max_size):
-        results = _removal_results(lam, e, memo)
+        results = removal_results(lam)
         expected = p_core(lam, e)
         if results != frozenset([expected]):
             return f"lambda={lam}, e={e}, endpoints={sorted(map(str, results))}"
@@ -1082,12 +1068,16 @@ SUITES: tuple[str, ...] = tuple(sorted({check.suite for check in CHECKS}))
 def run_verify(suite: str, e: int, d: int, seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run one named suite, or all of them in fixed name order.
 
+    The arguments are checked before any check runs: a size that is not an
+    int raises ``TypeError``, a bad modulus, size or suite ``ValueError``.
     An exception inside a check is that check's failure.  The counterexample
     of an ``ArithmeticError`` (a failed self-check) is its message; that of
     any other exception, such as a wrong engine handing ``remove_box`` a box
     that is not removable, is ``"<Type>: <message>"``.
     """
     check_modulus(e)
+    if not isinstance(d, int):
+        raise TypeError(f"max size must be an integer, got {d!r}")
     if d < 0:
         raise ValueError(f"max size must be >= 0, got {d}")
     if suite != "all" and suite not in SUITES:

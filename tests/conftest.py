@@ -54,7 +54,7 @@ def fresh_character_caches():
     ``_schur_terms`` reads its rows through the module global, so a patched
     engine would otherwise leave wrong terms cached for later tests.
     """
-    caches = (characters._schur_terms, characters._kostka)
+    caches = (characters._schur_terms,)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import large_partition_strategy, partition_strategy
-from fockspace.fock import FockVector
+from fockspace.crystal import f_tilde
+from fockspace.fock import FockVector, apply_f, op_matrix
 from fockspace.partitions import (
     MINUS,
     PLUS,
@@ -153,6 +154,29 @@ def test_canonical_residue():
     assert canonical_residue(-1, 3) == 2
     assert canonical_residue(-1, 0) == -1
     assert canonical_residue(7, 5) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: canonical_residue(1.5, 3),
+        lambda: apply_f(FockVector.basis(Partition((1,))), 1.5, 3),
+        lambda: op_matrix("f", 1.5, 3, 2),
+        lambda: i_corners(Partition((2, 1)), 2.5, 3),
+        lambda: n_value(Partition((1,)), 1.5, 0),
+        lambda: f_tilde(Partition((1,)), 0.5, 0),
+    ],
+    ids=["canonical_residue", "apply_f", "op_matrix", "i_corners", "n_value", "f_tilde"],
+)
+def test_a_residue_that_is_not_an_int_is_refused(call):
+    # each of these once matched no box and answered zero, empty or None
+    with pytest.raises(TypeError, match="residue must be an integer, got"):
+        call()
+
+
+def test_a_bool_residue_counts_as_its_int():
+    assert canonical_residue(True, 3) == 1
+    assert n_value(Partition((1,)), False, 2) == n_value(Partition((1,)), 0, 2)
 
 
 def test_addable_boxes_examples():
@@ -382,6 +406,14 @@ def test_partitions_of_order_and_counts():
     assert [str(p) for p in partitions_of(4)] == ["[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
     assert [len(partitions_of(d)) for d in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
     assert partitions_of(-1) == []
+
+
+def test_partitions_of_refuses_a_degree_that_is_not_an_int():
+    # warm the cache first: 2.0 hashes as 2, so only an explicit check refuses it
+    assert len(partitions_of(2)) == 2
+    for d in (2.0, 1.5, "2"):
+        with pytest.raises(TypeError, match="degree must be an integer, got"):
+            partitions_of(d)
 
 
 @given(partition_strategy())

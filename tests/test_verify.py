@@ -51,6 +51,56 @@ def test_unknown_suite_rejected():
         run_verify("all", 2, -1)
 
 
+def test_a_size_that_is_not_an_int_is_refused_before_any_check(monkeypatch):
+    ran = []
+    monkeypatch.setattr(
+        verify_module, "CHECKS", tuple(c._replace(run=lambda *a: ran.append(a)) for c in CHECKS)
+    )
+    for d in (1.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="max size must be an integer, got"):
+            run_verify("all", 3, d)
+    assert ran == []
+
+
+def test_the_normal_form_search_reports_every_normal_form():
+    # n -> n - 2 or n - 3 while that stays >= 0: 7 ends at 1 by 7, 5, 3, 1 and at 0 by 7, 4, 2, 0
+    searched = []
+
+    def moves(n):
+        searched.append(n)
+        return [m for m in (n - 2, n - 3) if m >= 0]
+
+    forms = verify_module._normal_forms(moves)
+    assert forms(7) == frozenset([0, 1])
+    assert forms(2) == frozenset([0]) and forms(1) == frozenset([1])
+    # each state is searched once, however many paths reach it
+    assert sorted(searched) == [0, 1, 2, 3, 4, 5, 7]
+
+
+def test_two_normal_form_searches_do_not_share_results():
+    to_b = verify_module._normal_forms(lambda s: ["b"] if s == "a" else [])
+    to_c = verify_module._normal_forms(lambda s: ["c"] if s == "a" else [])
+    assert to_b("a") == frozenset(["b"])
+    assert to_c("a") == frozenset(["c"])
+    assert to_b("a") == frozenset(["b"])
+
+
+def test_confluence_and_core_checks_search_with_their_own_moves(monkeypatch):
+    built = []
+    original = verify_module._normal_forms
+
+    def recording(moves):
+        built.append(moves)
+        return original(moves)
+
+    monkeypatch.setattr(verify_module, "_normal_forms", recording)
+    assert check_confluence(4) is None
+    assert check_core_well_defined(2, 5) is None
+    assert len(built) == 2
+    assert built[0]("++--") == ["+-"]
+    assert built[1](Partition((3,))) == [Partition((1,))]
+
+
 def test_report_json_is_seed_stable():
     a = run_verify("hecke", 2, 3, 99).json_dict()
     b = run_verify("hecke", 2, 3, 99).json_dict()
