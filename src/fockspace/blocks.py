@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fock import Weight, weight
-from .partitions import Partition, check_modulus, core_and_weight, p_core, partitions_of
+from .partitions import Partition, _check_int, check_modulus, core_and_weight, p_core, partitions_of
 
 
 class Block(NamedTuple):
@@ -34,8 +34,7 @@ class Block(NamedTuple):
 def blocks(d: int, e: int) -> list[Block]:
     """Partition the degree-d layer into classes of equal e-core."""
     check_modulus(e)
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+    _check_int(d, "degree", 0)
     by_core: dict[Partition, tuple[int, list[Partition]]] = {}
     for p in partitions_of(d):
         core, hooks_removed = core_and_weight(p, e)

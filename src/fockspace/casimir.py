@@ -12,6 +12,7 @@ from __future__ import annotations
 from .partitions import (
     Box,
     Partition,
+    _check_int,
     add_box,
     addable_boxes,
     canonical_residue,
@@ -24,15 +25,21 @@ from .partitions import (
 
 def casimir_scalar(p: Partition, n: int) -> int:
     """Sum of (n - 2i + 1) * p_i + p_i^2 over rows i = 1..n (zero-padded)."""
-    if n < len(p):
+    if _check_int(n, "rank") < len(p):
         raise ValueError(f"rank {n} is smaller than the number of parts of {p}")
     return sum((n - 2 * i + 1) * part + part * part for i, part in enumerate(p, start=1))
 
 
-def _halved(numerator: int, what: str) -> int:
+def _box_residue(what: str, numerator: int, p: Partition, box: Box, e: int) -> int:
+    """Half the numerator, checked against the content of the box, reduced mod e."""
     if numerator % 2:
         raise ArithmeticError(f"{what}: difference {numerator} is odd")
-    return numerator // 2
+    j = numerator // 2
+    if j != content(box):
+        raise ArithmeticError(
+            f"{what} {j} disagrees with content {content(box)} at {p}, {tuple(box)}"
+        )
+    return canonical_residue(j, e)
 
 
 def x_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
@@ -43,13 +50,10 @@ def x_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
     """
     check_modulus(e)
     mu = remove_box(p, box)
-    numerator = casimir_scalar(p, n + 1) - casimir_scalar(mu, n) - p.size - n
-    j = _halved(numerator, "removal eigenvalue")
-    if j != content(box):
-        raise ArithmeticError(
-            f"removal eigenvalue {j} disagrees with content {content(box)} at {p}, {tuple(box)}"
-        )
-    return canonical_residue(j, e)
+    # mu first, so a rank too small is named as passed: once mu fits in n rows, p fits in n + 1
+    smaller = casimir_scalar(mu, n)
+    numerator = casimir_scalar(p, n + 1) - smaller - p.size - n
+    return _box_residue("removal eigenvalue", numerator, p, box, e)
 
 
 def y_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
@@ -61,39 +65,25 @@ def y_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
     check_modulus(e)
     larger = add_box(p, box)
     numerator = casimir_scalar(larger, n) - casimir_scalar(p, n) - n
-    j = _halved(numerator, "addition eigenvalue")
-    if j != content(box):
-        raise ArithmeticError(
-            f"addition eigenvalue {j} disagrees with content {content(box)} at {p}, {tuple(box)}"
-        )
-    return canonical_residue(j, e)
+    return _box_residue("addition eigenvalue", numerator, p, box, e)
 
 
 def eigenvalue_table(p: Partition, n: int, e: int) -> dict:
     """Casimir scalar of p plus the eigenvalue of every box move at rank n."""
-    if n <= len(p):
+    if _check_int(n, "rank") <= len(p):
         raise ValueError(f"rank {n} must exceed the number of parts of {p}")
-    removable = [
-        {
-            "box": [b.row, b.col],
-            "content": content(b),
-            "residue": x_eigenvalue(p, b, n, e),
-        }
-        for b in removable_boxes(p)
-    ]
-    addable = [
-        {
-            "box": [b.row, b.col],
-            "content": content(b),
-            "residue": y_eigenvalue(p, b, n, e),
-        }
-        for b in addable_boxes(p)
-    ]
+
+    def moves(boxes: list[Box], eigenvalue) -> list[dict]:
+        return [
+            {"box": [b.row, b.col], "content": content(b), "residue": eigenvalue(p, b, n, e)}
+            for b in boxes
+        ]
+
     return {
         "partition": str(p),
         "n": n,
         "modulus": e,
         "casimir": casimir_scalar(p, n),
-        "removable": removable,
-        "addable": addable,
+        "removable": moves(removable_boxes(p), x_eigenvalue),
+        "addable": moves(addable_boxes(p), y_eigenvalue),
     }

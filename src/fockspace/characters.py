@@ -37,7 +37,7 @@ from operator import add
 from typing import Iterator, Mapping
 
 from .combination import IntCombination
-from .partitions import Partition
+from .partitions import Partition, _check_int
 
 
 class SymPolynomial(IntCombination):
@@ -51,8 +51,7 @@ class SymPolynomial(IntCombination):
         num_vars: int,
         terms: Mapping[tuple[int, ...], int] | None = None,
     ):
-        if num_vars < 0:
-            raise ValueError(f"number of variables must be >= 0, got {num_vars}")
+        _check_int(num_vars, "number of variables", 0)
         element = super().__new__(cls, terms, num_vars)
         element._check_symmetric()
         return element
@@ -87,7 +86,7 @@ class SymPolynomial(IntCombination):
 
     @classmethod
     def one(cls, num_vars: int) -> "SymPolynomial":
-        return cls(num_vars, {(0,) * num_vars: 1})
+        return cls(_check_int(num_vars, "number of variables", 0), {(0,) * num_vars: 1})
 
     def __mul__(self, other: "SymPolynomial") -> "SymPolynomial":
         if not self._same_ring(other):
@@ -205,8 +204,7 @@ def schur(p: Partition, n: int) -> SymPolynomial:
 
     Zero when p has more than n rows.
     """
-    if n < 0:
-        raise ValueError(f"number of variables must be >= 0, got {n}")
+    _check_int(n, "number of variables", 0)
     if len(p) > n:
         return SymPolynomial.zero(n)
     return SymPolynomial._trusted(dict(_schur_terms(p, n)), n)
@@ -214,9 +212,8 @@ def schur(p: Partition, n: int) -> SymPolynomial:
 
 def complete_homogeneous(k: int, n: int) -> SymPolynomial:
     """h_k(x_1..x_n): every monomial of total degree k once, one per multiset of k variables."""
-    if n < 0:
-        raise ValueError(f"number of variables must be >= 0, got {n}")
-    if k < 0:
+    _check_int(n, "number of variables", 0)
+    if _check_int(k, "degree") < 0:
         return SymPolynomial.zero(n)
     terms = {}
     for indices in combinations_with_replacement(range(n), k):
@@ -234,6 +231,7 @@ def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
     a set of columns) computed once: ell * 2^(ell-1) products, not the ell!
     of the Leibniz sum.  Entries h_k with k < 0 are zero and skipped.
     """
+    _check_int(n, "number of variables", 0)
     ell = len(p)
     if ell > n:
         # the determinant also vanishes, but short-circuit for speed
@@ -332,7 +330,7 @@ def branch_r1(p: Partition, n: int) -> list[Partition]:
     So the work is done at n = |p|, which also keeps the branching-rule
     recursion |p| + 1 deep whatever n is.
     """
-    if n < p.size:
+    if _check_int(n, "number of variables") < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
     n = p.size
     layer: dict[tuple[int, ...], int] = {}
@@ -357,7 +355,7 @@ def pieri_mult(p: Partition, n: int) -> list[Partition]:
     on n, so the work is done at min(n, |p| + 1) variables; that also keeps
     the branching-rule recursion at most |p| + 1 deep whatever n is.
     """
-    if n < p.size:
+    if _check_int(n, "number of variables") < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
     n = min(n, p.size + 1)
     terms: dict[tuple[int, ...], int] = {}

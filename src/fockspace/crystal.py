@@ -32,6 +32,7 @@ from .partitions import (
     PLUS,
     Box,
     Partition,
+    _check_int,
     _edit_row,
     _i_rim,
     canonical_residue,
@@ -196,8 +197,7 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     replaced or inserted, every other pair shared.
     """
     check_modulus(e)
-    if d < 0:
-        raise ValueError(f"max size must be >= 0, got {d}")
+    _check_int(d, "max size", 0)
     nodes = partitions_up_to(d)
     alphas = {(): ()}  # partition -> Weight.alpha
     for p in nodes[1:]:

@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .combination import IntCombination
 from .partitions import (
     Partition,
+    _check_int,
     _edit_row,
     _i_rim,
     canonical_residue,
@@ -168,12 +169,12 @@ def op_matrix(kind: str, i: int, e: int, d: int) -> SparseMatrix:
     the target degree (d-1 for e, d+1 for f, d for h), both in descending
     lexicographic order.
     """
-    kind = kind.lower()
+    if isinstance(kind, str):
+        kind = kind.lower()
     step = {"e": -1, "f": 1, "h": 0}.get(kind)
     if step is None:
         raise ValueError(f"operator kind must be one of e, f, h, got {kind!r}")
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+    _check_int(d, "degree", 0)
     i = canonical_residue(i, e)
     cols = partitions_of(d)
     rows = partitions_of(d + step)

@@ -30,6 +30,7 @@ from operator import add
 from typing import Callable, Iterator, Mapping
 
 from .combination import IntCombination
+from .partitions import _check_int
 
 Perm = tuple[int, ...]
 Exps = tuple[int, ...]
@@ -82,8 +83,7 @@ class HeckeElement(IntCombination):
     _MISMATCH = "rank mismatch: {} vs {}"
 
     def __new__(cls, n: int, terms: Mapping[Term, int] | None = None):
-        if n < 1:
-            raise ValueError(f"rank must be >= 1, got {n}")
+        _check_int(n, "rank", 1)
         return super().__new__(cls, terms, n)
 
     @property
@@ -105,7 +105,7 @@ class HeckeElement(IntCombination):
 
     @classmethod
     def one(cls, n: int) -> "HeckeElement":
-        return cls(n, {((0,) * n, identity_perm(n)): 1})
+        return cls.scalar(1, n)
 
     @classmethod
     def zero(cls, n: int) -> "HeckeElement":
@@ -113,7 +113,7 @@ class HeckeElement(IntCombination):
 
     @classmethod
     def scalar(cls, value: int, n: int) -> "HeckeElement":
-        return cls(n, {((0,) * n, identity_perm(n)): value})
+        return cls(_check_int(n, "rank", 1), {((0,) * n, identity_perm(n)): value})
 
     def y_degree(self) -> int:
         """Maximal total y-degree over the support; -1 for zero."""
@@ -152,8 +152,8 @@ class HeckeElement(IntCombination):
 
 def from_generator(kind: str, index: int, n: int) -> HeckeElement:
     """The generator y_index (kind 'y') or t_index (kind 't') at rank n."""
-    if not isinstance(index, int):
-        raise TypeError(f"generator index must be an integer, got {index!r}")
+    _check_int(index, "generator index")
+    _check_int(n, "rank")
     if kind == "y":
         if not 1 <= index <= n:
             raise ValueError(f"y index must be in 1..{n}, got {index}")
@@ -192,10 +192,9 @@ def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n:
     Exposed so that independence of the chosen reduced word can be checked
     directly against ``multiply``.
     """
+    _check_int(n, "rank")
     for i in word:
-        if not isinstance(i, int):
-            raise TypeError(f"generator index must be an integer, got {i!r}")
-        if not 1 <= i <= n - 1:
+        if not 1 <= _check_int(i, "generator index") <= n - 1:
             raise ValueError(f"generator index {i} out of range for rank {n}")
     terms = HeckeElement(n, {(tuple(exps), identity_perm(n)): 1}).terms
     for i in reversed(tuple(map(int, word))):
@@ -265,8 +264,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 
 def verify_relations(n: int) -> dict[str, bool]:
     """Check the defining relations at rank n via ``multiply``."""
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
+    _check_int(n, "rank", 2)
     y = [from_generator("y", k, n) for k in range(1, n + 1)]
     t = [from_generator("t", k, n) for k in range(1, n)]
     one = HeckeElement.one(n)
@@ -424,9 +422,7 @@ def parse_expression(expr: str, n: int) -> HeckeElement:
     Parentheses and unary minus signs nest at most MAX_NESTING deep; deeper
     input raises ValueError, as does a rank no tuple can have as its length.
     """
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-    if n > sys.maxsize:
+    if _check_int(n, "rank", 1) > sys.maxsize:
         raise ValueError(f"rank must be at most {sys.maxsize}, got {n}")
     tokens = _tokenize(expr)
     if not tokens:

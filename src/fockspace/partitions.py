@@ -3,6 +3,10 @@
 Partitions are written in English notation (row 1 on top, rows weakly
 decreasing in length).  Everything here is exact integer arithmetic on
 immutable values.
+
+The argument checks of the package live here too: ``check_modulus`` for a
+residue modulus, ``_check_int`` for every size, degree, rank, variable
+count, hook length, generator index and residue.
 """
 
 from __future__ import annotations
@@ -99,6 +103,15 @@ class Partition(tuple):
                 yield Box(r, c)
 
 
+def _check_int(value: int, what: str, least: int | None = None) -> int:
+    """Refuse a non-int (a bool counts as one) or, given ``least``, a smaller int."""
+    if not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def check_modulus(e: int) -> int:
     """Validate a residue modulus: 0 (no reduction) or any integer >= 2."""
     if not isinstance(e, int) or e == 1 or e < 0:
@@ -112,8 +125,7 @@ def canonical_residue(value: int, e: int) -> int:
     Every residue argument passes through here, so any other type raises.
     """
     check_modulus(e)
-    if not isinstance(value, int):
-        raise TypeError(f"residue must be an integer, got {value!r}")
+    _check_int(value, "residue")
     return value % e if e else value
 
 
@@ -124,6 +136,7 @@ def residue_window(e: int, d: int) -> list[int]:
     stay strictly inside it.  For e >= 2 it is all of Z/eZ.
     """
     check_modulus(e)
+    _check_int(d, "max size")
     if e:
         return list(range(e))
     return list(range(-(d + 1), d + 2))
@@ -251,15 +264,14 @@ def _partition_tuples(d: int, cap: int) -> tuple[tuple[int, ...], ...]:
 
 def partitions_of(d: int) -> list[Partition]:
     """All partitions of d in descending lexicographic order."""
-    if not isinstance(d, int):
-        raise TypeError(f"degree must be an integer, got {d!r}")
-    if d < 0:
+    if _check_int(d, "degree") < 0:
         return []
     return list(map(Partition._trusted, _partition_tuples(d, d if d else 1)))
 
 
 def partitions_up_to(d: int) -> list[Partition]:
     """All partitions of size 0..d, ordered by size then descending lex."""
+    _check_int(d, "max size")
     return [p for k in range(d + 1) for p in partitions_of(k)]
 
 
@@ -276,8 +288,7 @@ def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box],
     their lowest box), so walking the beads from the bottom row up needs no
     sort.
     """
-    if length < 1:
-        raise ValueError(f"hook length must be >= 1, got {length}")
+    _check_int(length, "hook length", 1)
     k = len(p)
     betas = [part + k - 1 - j for j, part in enumerate(p)]
     beads = set(betas)

@@ -65,6 +65,7 @@ from .partitions import (
     PLUS,
     Box,
     Partition,
+    _check_int,
     _edit_row,
     addable_boxes,
     add_box,
@@ -238,8 +239,9 @@ def _n_addable(p: Partition, i: int, e: int) -> int:
 
 def check_integrability(e: int, max_size: int) -> Optional[str]:
     """f_i^N kills v_lambda once N exceeds the number of addable i-boxes."""
+    window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        for i in residue_window(e, max_size):
+        for i in window:
             n_addable = _n_addable(lam, i, e)
             v = FockVector.basis(lam)
             for _ in range(n_addable + 1):
@@ -324,8 +326,9 @@ def check_serre(e: int, max_size: int) -> Optional[str]:
 
 
 def check_partial_inverse(e: int, max_size: int) -> Optional[str]:
+    window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        for i in residue_window(e, max_size):
+        for i in window:
             mu = f_tilde(lam, i, e)
             if mu is not None and e_tilde(mu, i, e) != lam:
                 return f"f_tilde: lambda={lam}, i={i}, e={e}"
@@ -341,8 +344,9 @@ def check_string_lengths(e: int, max_size: int) -> Optional[str]:
     Each walk stops one step past its expected length, so an operator that
     never returns None is reported instead of walked forever.
     """
+    window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        for i in residue_window(e, max_size):
+        for i in window:
             for name, step, length in (
                 ("epsilon", e_tilde, epsilon(lam, i, e)),
                 ("phi", f_tilde, phi(lam, i, e)),
@@ -362,9 +366,10 @@ def check_tilde_signature_agree(e: int, max_size: int) -> Optional[str]:
     signature oracle, and crystal_graph, which calls f_tilde only for the
     residues of a node's cogood rows, has the edges of the oracle over the
     whole window."""
+    window = residue_window(e, max_size)
     edges = []
     for lam in partitions_up_to(max_size):
-        for i in residue_window(e, max_size):
+        for i in window:
             good, cogood = good_box(lam, i, e), cogood_box(lam, i, e)
             if e_tilde(lam, i, e) != (None if good is None else _edit_row(lam, good.row, -1)):
                 return f"e_tilde: lambda={lam}, i={i}, e={e}"
@@ -380,8 +385,9 @@ def check_tilde_signature_agree(e: int, max_size: int) -> Optional[str]:
 
 def check_weight_compat(e: int, max_size: int) -> Optional[str]:
     """phi_i - epsilon_i = n_i(lambda)."""
+    window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        for i in residue_window(e, max_size):
+        for i in window:
             diff = phi(lam, i, e) - epsilon(lam, i, e)
             if diff != n_value(lam, i, e):
                 return f"lambda={lam}, i={i}, e={e}"
@@ -421,8 +427,9 @@ def check_confluence(max_len: int) -> Optional[str]:
 
 def check_socle_coherence(e: int, max_size: int) -> Optional[str]:
     """f_tilde(lambda), when defined, appears with coefficient 1 in f_i."""
+    window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        for i in residue_window(e, max_size):
+        for i in window:
             mu = f_tilde(lam, i, e)
             if mu is None:
                 continue
@@ -466,8 +473,9 @@ def check_connectivity(e: int, max_size: int) -> Optional[str]:
 
 def check_addable_monotone(e: int, max_size: int) -> Optional[str]:
     """Adding a cogood i-box never increases the number of addable i-boxes."""
+    window = residue_window(e, max_size)
     for lam in partitions_up_to(max_size):
-        for i in residue_window(e, max_size):
+        for i in window:
             mu = f_tilde(lam, i, e)
             if mu is None:
                 continue
@@ -1076,10 +1084,7 @@ def run_verify(suite: str, e: int, d: int, seed: int = DEFAULT_SEED) -> VerifyRe
     that is not removable, is ``"<Type>: <message>"``.
     """
     check_modulus(e)
-    if not isinstance(d, int):
-        raise TypeError(f"max size must be an integer, got {d!r}")
-    if d < 0:
-        raise ValueError(f"max size must be >= 0, got {d}")
+    _check_int(d, "max size", 0)
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {[*SUITES, 'all']}")
     results: list[SuiteResult] = []

@@ -61,6 +61,14 @@ def test_y_eigenvalue_examples():
         y_eigenvalue(P((1,)), Box(1, 1), 2, 0)
 
 
+def test_a_removal_rank_too_small_is_named_as_given():
+    # p less the box must fit in n rows; the message names that n, not n + 1
+    message = r"^rank -9 is smaller than the number of parts of \[2\]$"
+    with pytest.raises(ValueError, match=message):
+        x_eigenvalue(P((2, 1)), Box(2, 1), -9, 3)
+    assert x_eigenvalue(P((1, 1)), Box(2, 1), 1, 0) == -1
+
+
 def test_eigenvalues_of_a_non_corner_box_name_it():
     with pytest.raises(ValueError, match=r"^box \(2, 1\) is not removable from \[2\]$"):
         x_eigenvalue(P((2,)), Box(2, 1), 2, 0)

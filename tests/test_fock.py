@@ -95,6 +95,11 @@ def test_op_matrix_bad_arguments():
         op_matrix("e", 0, 1, 2)
 
 
+def test_op_matrix_refuses_a_kind_that_is_not_a_string():
+    with pytest.raises(ValueError, match="^operator kind must be one of e, f, h, got 5$"):
+        op_matrix(5, 0, 3, 2)
+
+
 def test_matrix_add_requires_matching_bases():
     a = op_matrix("f", 0, 2, 1)
     b = op_matrix("f", 0, 2, 2)
