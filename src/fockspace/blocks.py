@@ -46,7 +46,7 @@ def blocks(d: int, e: int) -> list[Block]:
         out.append(
             Block(
                 modulus=e,
-                degree=d,
+                degree=int(d),  # a bool degree is kept as its int
                 core=core,
                 members=members,
                 weight=weight(members[0], e),

@@ -81,7 +81,7 @@ def eigenvalue_table(p: Partition, n: int, e: int) -> dict:
 
     return {
         "partition": str(p),
-        "n": n,
+        "n": int(n),  # a bool rank is written as its int
         "modulus": e,
         "casimir": casimir_scalar(p, n),
         "removable": moves(removable_boxes(p), x_eigenvalue),

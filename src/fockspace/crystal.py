@@ -219,7 +219,7 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
             edges.append((p, node.get(q, q), i))
     return CrystalGraph(
         modulus=e,
-        max_size=d,
+        max_size=int(d),  # a bool size is kept as its int
         nodes=tuple((p, Weight(e, alphas[p])) for p in nodes),
         edges=tuple(edges),
     )

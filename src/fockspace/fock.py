@@ -169,9 +169,10 @@ def op_matrix(kind: str, i: int, e: int, d: int) -> SparseMatrix:
     the target degree (d-1 for e, d+1 for f, d for h), both in descending
     lexicographic order.
     """
-    if isinstance(kind, str):
+    step = None
+    if isinstance(kind, str):  # any other kind, hashable or not, is refused below
         kind = kind.lower()
-    step = {"e": -1, "f": 1, "h": 0}.get(kind)
+        step = {"e": -1, "f": 1, "h": 0}.get(kind)
     if step is None:
         raise ValueError(f"operator kind must be one of e, f, h, got {kind!r}")
     _check_int(d, "degree", 0)

@@ -11,7 +11,7 @@ count, hook length, generator index and residue.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -41,17 +41,6 @@ class Partition(tuple):
             if k > 0 and parts[k - 1] < p:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
         return tuple.__new__(cls, map(int, parts))
-
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
-        """Wrap a tuple already known to be positive and weakly decreasing.
-
-        Skips the constructor's checks.  Only for tuples built by a step that
-        keeps a partition valid: a corner edit, a rim-hook removal, the
-        enumeration of ``partitions_of``.  Any other input goes through
-        ``Partition(...)``.
-        """
-        return tuple.__new__(cls, parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -101,6 +90,15 @@ class Partition(tuple):
         for r, length in enumerate(self, start=1):
             for c in range(1, length + 1):
                 yield Box(r, c)
+
+
+# Partition._trusted(parts) wraps a tuple (or list) already known to be
+# positive and weakly decreasing, skipping the constructor's checks.  Only for
+# parts built by a step that keeps a partition valid: a corner edit, a
+# rim-hook removal, the enumeration of ``partitions_of``, the core read off
+# the beads.  Any other input goes through ``Partition(...)``.  A partial of
+# ``tuple.__new__`` is called in C, with no Python frame per wrap.
+Partition._trusted = staticmethod(partial(tuple.__new__, Partition))
 
 
 def _check_int(value: int, what: str, least: int | None = None) -> int:
@@ -252,27 +250,60 @@ def n_value(p: Partition, i: int, e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _partition_tuples(d: int, cap: int) -> tuple[tuple[int, ...], ...]:
+def _partition_tuples(d: int) -> tuple[Partition, ...]:
+    """The partitions of d >= 0 in descending lexicographic order, by ZS1.
+
+    x[:m] is the current partition, x[h] its last part above 1, and every
+    later entry of x is 1.  The next partition lowers x[h] to r = x[h] - 1
+    and deals the box taken off with the 1s after x[h] into parts of r and
+    one smaller remainder (Zoghbi-Stojmenovic, 1998).
+    """
     if d == 0:
-        return ((),)
-    out = []
-    for first in range(min(d, cap), 0, -1):
-        for rest in _partition_tuples(d - first, first):
-            out.append((first,) + rest)
+        return (Partition(),)
+    wrap = Partition._trusted
+    x = [1] * d
+    x[0] = d
+    m, h = 1, 0
+    out = [wrap(x[:1])]
+    while x[0] != 1:
+        r = x[h] - 1
+        if r == 1:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            t = m - h  # the box taken off x[h] and the m - h - 1 ones after it
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1
+            if t:
+                m += 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(wrap(x[:m]))
     return tuple(out)
 
 
 def partitions_of(d: int) -> list[Partition]:
-    """All partitions of d in descending lexicographic order."""
+    """All partitions of d in descending lexicographic order.
+
+    Each degree is listed once by the iterative ZS1 algorithm
+    (Zoghbi-Stojmenovic, Int. J. Comput. Math. 70 (1998) 319-332; Knuth,
+    TAOCP 7.2.1.4) and cached; every call gets its own list.
+    """
     if _check_int(d, "degree") < 0:
         return []
-    return list(map(Partition._trusted, _partition_tuples(d, d if d else 1)))
+    return list(_partition_tuples(int(d)))  # a bool degree still gets int parts
 
 
 def partitions_up_to(d: int) -> list[Partition]:
     """All partitions of size 0..d, ordered by size then descending lex."""
     _check_int(d, "max size")
-    return [p for k in range(d + 1) for p in partitions_of(k)]
+    return [p for k in range(d + 1) for p in _partition_tuples(k)]
 
 
 def removable_rim_hooks(p: Partition, length: int) -> list[tuple[frozenset[Box], Partition]]:

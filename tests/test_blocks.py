@@ -34,6 +34,12 @@ def test_blocks_degree_zero():
         blocks(-1, 2)
 
 
+def test_blocks_keep_a_bool_degree_as_its_int():
+    (block,) = blocks(True, 2)
+    assert type(block.degree) is int and block.degree == 1
+    assert block.json_dict() == blocks(1, 2)[0].json_dict()
+
+
 def test_same_block_examples():
     assert same_block(P((2,)), P((1, 1)), 2) is True
     assert same_block(P((2,)), P((1, 1)), 3) is False

@@ -804,6 +804,32 @@ def test_op_matrix_output_is_pinned(capsys, op, residue, degree, fmt):
     assert digest == OP_MATRIX_STDOUT_SHA256[op, residue, degree, fmt]
 
 
+# sha256 of the stdout of the benchmark's blocks requests (its cores_blocks
+# workload), recorded from the enumeration that built every (degree,
+# largest part) level of partitions_of as its own cached tuple.
+BLOCKS_STDOUT_SHA256 = {
+    ("2", "16"): "9763b615adedcfbf929807c78dd1fca4e1f23d39ef6c3e67a01acb0faf0828e5",
+    ("3", "16"): "4b83cd1483cd231783ac9f4e03c2aa05807542f35dfcec6cdf3196ed71f327ec",
+    ("5", "16"): "19519957f0f0b4c8b07e5211a384f6886097eccf6a3b010c48c9e4b3bbe6369d",
+    ("2", "17"): "27a83fc1319641bdd87a2a60ec86b7e25d549486ea342ae53c2eb1dd7867d61c",
+    ("3", "17"): "fccebbb463cdda6206176afe6ee2942a2cb3ab297b724e6691b9a0c9499f7db5",
+    ("5", "17"): "90a3b5ecade1db8d22c4aeeeac31c3d4981a25fc369398a1abf0fbebcd24f0c4",
+    ("2", "18"): "97258887c2d4a40b09fae1faa0b49616191959f7f494370458560d2782dcf963",
+    ("3", "18"): "e7ad56925454ad3867d993a4d84e1161bab25ff4aa73ffd7a74b95cd3432e1aa",
+    ("5", "18"): "8ae2b9bbc55b30dc9cfe5f5295897b32ad57959d32d6a4b97c474eaae23f1091",
+    ("2", "19"): "4f6df5b9b04c65542e5e8787ce9585eade4549efa6d6967025c483c46a4a9b4a",
+    ("3", "19"): "24fe425cd99599104fa1dd391669c720e965684356bd9a10da3b9f9be4551038",
+    ("5", "19"): "5d0f57e6342cc9c1ef8465f12232d8ed1f1a1287a23c50a3ec17af18db80dc4e",
+}
+
+
+@pytest.mark.parametrize("modulus, degree", sorted(BLOCKS_STDOUT_SHA256))
+def test_blocks_output_is_pinned(capsys, modulus, degree):
+    code, out, err = run_cli(capsys, "blocks", "--modulus", modulus, "--degree", degree)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BLOCKS_STDOUT_SHA256[modulus, degree]
+
+
 # sha256 of the stdout of verify --suite all at every modulus of the
 # verify_sweep workload and every --max-size up to the benchmark's 8,
 # recorded from the relation checks that applied e_i, f_i and h_i to one

@@ -117,6 +117,12 @@ def test_crystal_graph_bad_arguments():
         crystal_graph(2, -1)
 
 
+def test_crystal_graph_keeps_a_bool_size_as_its_int():
+    g = crystal_graph(2, True)
+    assert type(g.max_size) is int and g.max_size == 1
+    assert g.json_dict() == crystal_graph(2, 1).json_dict()
+
+
 def test_graph_json_schema():
     obj = crystal_graph(3, 2).json_dict()
     assert obj["modulus"] == 3

@@ -100,6 +100,11 @@ def test_op_matrix_refuses_a_kind_that_is_not_a_string():
         op_matrix(5, 0, 3, 2)
 
 
+def test_op_matrix_refuses_an_unhashable_kind_as_any_other_kind():
+    with pytest.raises(ValueError, match=r"^operator kind must be one of e, f, h, got \['e'\]$"):
+        op_matrix(["e"], 0, 2, 1)
+
+
 def test_matrix_add_requires_matching_bases():
     a = op_matrix("f", 0, 2, 1)
     b = op_matrix("f", 0, 2, 2)

@@ -16,6 +16,7 @@ from fockspace.partitions import (
     Box,
     Partition,
     _edit_row,
+    _partition_tuples,
     _slide_beads,
     addable_boxes,
     add_box,
@@ -406,6 +407,53 @@ def test_partitions_of_order_and_counts():
     assert [str(p) for p in partitions_of(4)] == ["[4]", "[3,1]", "[2,2]", "[2,1,1]", "[1,1,1,1]"]
     assert [len(partitions_of(d)) for d in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
     assert partitions_of(-1) == []
+
+
+def _partition_numbers(top):
+    """p(0..top) by Euler's pentagonal number recurrence."""
+    counts = [1]
+    for n in range(1, top + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pentagonal <= n:
+                    total += sign * counts[n - pentagonal]
+            k += 1
+        counts.append(total)
+    return counts
+
+
+def test_partitions_of_lists_every_partition_once_in_descending_order():
+    counts = _partition_numbers(30)
+    assert counts[:9] == [1, 1, 2, 3, 5, 7, 11, 15, 22] and counts[30] == 5604
+    for n in range(31):
+        layer = partitions_of(n)
+        assert len(layer) == counts[n], n
+        assert all(p > q for p, q in zip(layer, layer[1:])), n  # strictly, so no repeats
+        assert all(type(p) is Partition and p.size == n and _is_checked_partition(p) for p in layer), n
+
+
+def test_partitions_up_to_joins_the_degrees():
+    for d in range(31):
+        assert partitions_up_to(d) == [p for k in range(d + 1) for p in partitions_of(k)], d
+
+
+def test_a_returned_list_is_the_callers_own():
+    for d in (0, 5, 12):
+        first = partitions_of(d)
+        first.clear()
+        spread = partitions_up_to(d)
+        spread.reverse()
+        assert len(partitions_of(d)) == _partition_numbers(d)[d]
+        assert partitions_up_to(d)[0] == Partition()
+
+
+def test_a_bool_degree_lists_what_its_int_lists():
+    _partition_tuples.cache_clear()  # True and 1 share a cache key: list True first
+    assert partitions_of(True) == partitions_of(1) == [Partition((1,))]
+    assert all(_is_checked_partition(p) for p in partitions_of(True))
+    assert partitions_of(False) == [Partition()]
 
 
 def test_partitions_of_refuses_a_degree_that_is_not_an_int():
