@@ -45,7 +45,7 @@ def blocks(d: int, e: int) -> list[Block]:
         members = tuple(members)  # partitions_of order, descending lexicographic
         out.append(
             Block(
-                modulus=e,
+                modulus=int(e),  # a bool modulus is kept as its int
                 degree=int(d),  # a bool degree is kept as its int
                 core=core,
                 members=members,

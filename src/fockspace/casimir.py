@@ -82,7 +82,7 @@ def eigenvalue_table(p: Partition, n: int, e: int) -> dict:
     return {
         "partition": str(p),
         "n": int(n),  # a bool rank is written as its int
-        "modulus": e,
+        "modulus": int(check_modulus(e)),  # a bool modulus is written as its int
         "casimir": casimir_scalar(p, n),
         "removable": moves(removable_boxes(p), x_eigenvalue),
         "addable": moves(addable_boxes(p), y_eigenvalue),

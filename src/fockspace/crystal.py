@@ -196,7 +196,7 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     box: the parent's sorted pairs with the one of that box's residue
     replaced or inserted, every other pair shared.
     """
-    check_modulus(e)
+    e = int(check_modulus(e))  # a bool modulus is kept as its int
     _check_int(d, "max size", 0)
     nodes = partitions_up_to(d)
     alphas = {(): ()}  # partition -> Weight.alpha

@@ -99,7 +99,8 @@ class Weight(NamedTuple):
 
 def weight(p: Partition, e: int) -> Weight:
     """The weight of the basis vector at p: residue -> box count."""
-    return Weight(e, tuple(sorted(residue_counts(p, e).items())))
+    counts = residue_counts(p, e)  # checks e
+    return Weight(int(e), tuple(sorted(counts.items())))  # a bool modulus is kept as its int
 
 
 def cartan_entry(i: int, j: int, e: int) -> int:

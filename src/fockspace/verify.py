@@ -10,7 +10,8 @@ property.
 No check keeps a memo past its own call.  Operator matrices, powers of e_i
 and the normal forms of a rewriting search are ``functools.cache`` closures
 made inside the check, so a patched engine never meets pieces built before
-the patch.
+the patch.  The checks of one ``run_verify`` call may run in different
+forked processes, so none may rely on another having run.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .fock import (
     op_matrix,
     weight,
 )
+from .forked import run_shared
 from .partitions import (
     PLUS,
     Box,
@@ -1082,24 +1084,31 @@ def run_verify(suite: str, e: int, d: int, seed: int = DEFAULT_SEED) -> VerifyRe
     of an ``ArithmeticError`` (a failed self-check) is its message; that of
     any other exception, such as a wrong engine handing ``remove_box`` a box
     that is not removable, is ``"<Type>: <message>"``.
+
+    The checks run in this process and in up to one forked helper per
+    further available CPU (``forked.run_shared``); the report is the same
+    either way.  Under a profiler, a tracer or other threads they all run
+    here.
     """
-    check_modulus(e)
+    e = int(check_modulus(e))  # a bool modulus is kept as its int
     _check_int(d, "max size", 0)
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {[*SUITES, 'all']}")
-    results: list[SuiteResult] = []
-    for check in CHECKS:
-        if suite not in ("all", check.suite) or not check.applies(e):
-            continue
-        params = check.params(e, d, seed)
+    checks = [check for check in CHECKS if suite in ("all", check.suite) and check.applies(e)]
+    params = [check.params(e, d, seed) for check in checks]
+
+    def run_one(k: int) -> tuple[Optional[str], float]:
         start = time.perf_counter()
         try:
-            counterexample = check.run(*params.values())
+            counterexample = checks[k].run(*params[k].values())
         except ArithmeticError as exc:
             counterexample = str(exc)
         except Exception as exc:
             counterexample = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-        passed = counterexample is None
-        results.append(SuiteResult(check.suite, check.name, params, passed, counterexample, elapsed))
-    return VerifyReport(modulus=e, max_size=d, seed=seed, results=tuple(results))
+        return counterexample, time.perf_counter() - start
+
+    results = tuple(
+        SuiteResult(check.suite, check.name, p, counterexample is None, counterexample, elapsed)
+        for check, p, (counterexample, elapsed) in zip(checks, params, run_shared(run_one, len(checks)))
+    )
+    return VerifyReport(modulus=e, max_size=d, seed=seed, results=results)

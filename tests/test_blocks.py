@@ -34,6 +34,13 @@ def test_blocks_degree_zero():
         blocks(-1, 2)
 
 
+def test_blocks_keep_a_bool_modulus_as_its_int():
+    layer = blocks(2, False)
+    assert all(type(b.modulus) is int and b.modulus == 0 for b in layer)
+    assert all(type(b.weight.modulus) is int for b in layer)
+    assert [b.json_dict() for b in layer] == [b.json_dict() for b in blocks(2, 0)]
+
+
 def test_blocks_keep_a_bool_degree_as_its_int():
     (block,) = blocks(True, 2)
     assert type(block.degree) is int and block.degree == 1

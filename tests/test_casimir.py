@@ -108,6 +108,15 @@ def test_eigenvalue_table_shape():
     assert [entry["content"] for entry in table["addable"]] == [-2, 0, 2]
 
 
+def test_eigenvalue_table_writes_a_bool_modulus_as_its_int():
+    table = eigenvalue_table(P(), 1, False)
+    assert type(table["modulus"]) is int
+    assert json.dumps(table) == json.dumps(eigenvalue_table(P(), 1, 0))
+    assert '"modulus": 0,' in json.dumps(table)
+    with pytest.raises(ValueError, match="modulus must be 0 or an integer >= 2"):
+        eigenvalue_table(P(), 1, True)
+
+
 def test_eigenvalue_table_writes_a_bool_rank_as_its_int():
     table = eigenvalue_table(P(), True, 0)
     assert type(table["n"]) is int

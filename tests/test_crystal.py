@@ -123,6 +123,14 @@ def test_crystal_graph_keeps_a_bool_size_as_its_int():
     assert g.json_dict() == crystal_graph(2, 1).json_dict()
 
 
+def test_crystal_graph_keeps_a_bool_modulus_as_its_int():
+    g = crystal_graph(False, 1)
+    assert type(g.modulus) is int and g.modulus == 0
+    assert all(type(w.modulus) is int for _, w in g.nodes)
+    assert g.json_text() == crystal_graph(0, 1).json_text()
+    assert '"modulus": 0,' in g.json_text()
+
+
 def test_graph_json_schema():
     obj = crystal_graph(3, 2).json_dict()
     assert obj["modulus"] == 3

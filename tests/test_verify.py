@@ -4,6 +4,7 @@ import json
 import pytest
 
 import fockspace.characters as characters
+import fockspace.forked as forked
 import fockspace.verify as verify_module
 from fockspace.crystal import Signature
 from fockspace.partitions import MINUS, Partition
@@ -49,6 +50,14 @@ def test_unknown_suite_rejected():
         run_verify("all", 1, 3)
     with pytest.raises(ValueError):
         run_verify("all", 2, -1)
+
+
+def test_a_bool_modulus_is_reported_as_its_int():
+    report = run_verify("blocks", False, 2)
+    assert type(report.modulus) is int and report.modulus == 0
+    assert all(type(r.params["modulus"]) is int for r in report.results)
+    assert report.json_dict() == run_verify("blocks", 0, 2).json_dict()
+    assert '"modulus": 0,' in json.dumps(report.json_dict())
 
 
 def test_a_size_that_is_not_an_int_is_refused_before_any_check(monkeypatch):
@@ -175,8 +184,12 @@ def test_rim_hooks_agree_catches_a_wrong_rim_order(monkeypatch):
 
 
 def _spy_on_checks(monkeypatch) -> list[tuple[str, str, tuple]]:
-    """Swap every registry check for a passing spy; return the calls it sees."""
+    """Swap every registry check for a passing spy; return the calls it sees.
+
+    The spies record into this process, so every check runs here (one CPU).
+    """
     calls: list[tuple[str, str, tuple]] = []
+    monkeypatch.setattr(forked, "_available_cpus", lambda: 1)
 
     def spy(check):
         def record(*args):
