@@ -33,8 +33,8 @@ class Block(NamedTuple):
 
 def blocks(d: int, e: int) -> list[Block]:
     """Partition the degree-d layer into classes of equal e-core."""
-    check_modulus(e)
-    _check_int(d, "degree", 0)
+    e = check_modulus(e)
+    d = _check_int(d, "degree", 0)
     by_core: dict[Partition, tuple[int, list[Partition]]] = {}
     for p in partitions_of(d):
         core, hooks_removed = core_and_weight(p, e)
@@ -45,8 +45,8 @@ def blocks(d: int, e: int) -> list[Block]:
         members = tuple(members)  # partitions_of order, descending lexicographic
         out.append(
             Block(
-                modulus=int(e),  # a bool modulus is kept as its int
-                degree=int(d),  # a bool degree is kept as its int
+                modulus=e,
+                degree=d,
                 core=core,
                 members=members,
                 weight=weight(members[0], e),

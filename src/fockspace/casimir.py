@@ -70,7 +70,8 @@ def y_eigenvalue(p: Partition, box: Box, n: int, e: int) -> int:
 
 def eigenvalue_table(p: Partition, n: int, e: int) -> dict:
     """Casimir scalar of p plus the eigenvalue of every box move at rank n."""
-    if _check_int(n, "rank") <= len(p):
+    n = _check_int(n, "rank")
+    if n <= len(p):
         raise ValueError(f"rank {n} must exceed the number of parts of {p}")
 
     def moves(boxes: list[Box], eigenvalue) -> list[dict]:
@@ -81,8 +82,8 @@ def eigenvalue_table(p: Partition, n: int, e: int) -> dict:
 
     return {
         "partition": str(p),
-        "n": int(n),  # a bool rank is written as its int
-        "modulus": int(check_modulus(e)),  # a bool modulus is written as its int
+        "n": n,
+        "modulus": check_modulus(e),
         "casimir": casimir_scalar(p, n),
         "removable": moves(removable_boxes(p), x_eigenvalue),
         "addable": moves(addable_boxes(p), y_eigenvalue),

@@ -51,7 +51,7 @@ class SymPolynomial(IntCombination):
         num_vars: int,
         terms: Mapping[tuple[int, ...], int] | None = None,
     ):
-        _check_int(num_vars, "number of variables", 0)
+        num_vars = _check_int(num_vars, "number of variables", 0)
         element = super().__new__(cls, terms, num_vars)
         element._check_symmetric()
         return element
@@ -204,7 +204,7 @@ def schur(p: Partition, n: int) -> SymPolynomial:
 
     Zero when p has more than n rows.
     """
-    _check_int(n, "number of variables", 0)
+    n = _check_int(n, "number of variables", 0)
     if len(p) > n:
         return SymPolynomial.zero(n)
     return SymPolynomial._trusted(dict(_schur_terms(p, n)), n)
@@ -212,7 +212,7 @@ def schur(p: Partition, n: int) -> SymPolynomial:
 
 def complete_homogeneous(k: int, n: int) -> SymPolynomial:
     """h_k(x_1..x_n): every monomial of total degree k once, one per multiset of k variables."""
-    _check_int(n, "number of variables", 0)
+    n = _check_int(n, "number of variables", 0)
     if _check_int(k, "degree") < 0:
         return SymPolynomial.zero(n)
     terms = {}

@@ -196,8 +196,8 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
     box: the parent's sorted pairs with the one of that box's residue
     replaced or inserted, every other pair shared.
     """
-    e = int(check_modulus(e))  # a bool modulus is kept as its int
-    _check_int(d, "max size", 0)
+    e = check_modulus(e)
+    d = _check_int(d, "max size", 0)
     nodes = partitions_up_to(d)
     alphas = {(): ()}  # partition -> Weight.alpha
     for p in nodes[1:]:
@@ -219,7 +219,7 @@ def crystal_graph(e: int, d: int) -> CrystalGraph:
             edges.append((p, node.get(q, q), i))
     return CrystalGraph(
         modulus=e,
-        max_size=int(d),  # a bool size is kept as its int
+        max_size=d,
         nodes=tuple((p, Weight(e, alphas[p])) for p in nodes),
         edges=tuple(edges),
     )

@@ -100,19 +100,16 @@ class Weight(NamedTuple):
 def weight(p: Partition, e: int) -> Weight:
     """The weight of the basis vector at p: residue -> box count."""
     counts = residue_counts(p, e)  # checks e
-    return Weight(int(e), tuple(sorted(counts.items())))  # a bool modulus is kept as its int
+    return Weight(check_modulus(e), tuple(sorted(counts.items())))
 
 
 def cartan_entry(i: int, j: int, e: int) -> int:
     """Entry a_ij of the affine type-A Cartan matrix (doubled bond for e=2)."""
-    check_modulus(e)
-    if e == 0:
-        if i == j:
-            return 2
-        return -1 if abs(i - j) == 1 else 0
-    i, j = i % e, j % e
+    i, j = canonical_residue(i, e), canonical_residue(j, e)
     if i == j:
         return 2
+    if e == 0:
+        return -1 if abs(i - j) == 1 else 0
     if e == 2:
         return -2
     return -1 if (i - j) % e in (1, e - 1) else 0

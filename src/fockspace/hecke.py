@@ -83,7 +83,7 @@ class HeckeElement(IntCombination):
     _MISMATCH = "rank mismatch: {} vs {}"
 
     def __new__(cls, n: int, terms: Mapping[Term, int] | None = None):
-        _check_int(n, "rank", 1)
+        n = _check_int(n, "rank", 1)
         return super().__new__(cls, terms, n)
 
     @property
@@ -152,8 +152,8 @@ class HeckeElement(IntCombination):
 
 def from_generator(kind: str, index: int, n: int) -> HeckeElement:
     """The generator y_index (kind 'y') or t_index (kind 't') at rank n."""
-    _check_int(index, "generator index")
-    _check_int(n, "rank")
+    index = _check_int(index, "generator index")
+    n = _check_int(n, "rank")
     if kind == "y":
         if not 1 <= index <= n:
             raise ValueError(f"y index must be in 1..{n}, got {index}")
@@ -192,7 +192,7 @@ def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n:
     Exposed so that independence of the chosen reduced word can be checked
     directly against ``multiply``.
     """
-    _check_int(n, "rank")
+    n = _check_int(n, "rank")
     for i in word:
         if not 1 <= _check_int(i, "generator index") <= n - 1:
             raise ValueError(f"generator index {i} out of range for rank {n}")

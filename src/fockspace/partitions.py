@@ -5,8 +5,8 @@ decreasing in length).  Everything here is exact integer arithmetic on
 immutable values.
 
 The argument checks of the package live here too: ``check_modulus`` for a
-residue modulus, ``_check_int`` for every size, degree, rank, variable
-count, hook length, generator index and residue.
+residue modulus, ``_check_int`` for the other integer arguments.  Each
+returns the plain ``int`` that its caller keeps, so ``True`` is stored as 1.
 """
 
 from __future__ import annotations
@@ -102,19 +102,19 @@ Partition._trusted = staticmethod(partial(tuple.__new__, Partition))
 
 
 def _check_int(value: int, what: str, least: int | None = None) -> int:
-    """Refuse a non-int (a bool counts as one) or, given ``least``, a smaller int."""
+    """Return ``int(value)`` (a bool counts); a non-int, or an int below ``least``, raises."""
     if not isinstance(value, int):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
-    return value
+    return int(value)
 
 
 def check_modulus(e: int) -> int:
-    """Validate a residue modulus: 0 (no reduction) or any integer >= 2."""
+    """Return ``int(e)`` for a residue modulus: 0 (no reduction) or any integer >= 2."""
     if not isinstance(e, int) or e == 1 or e < 0:
         raise ValueError(f"modulus must be 0 or an integer >= 2, got {e!r}")
-    return e
+    return int(e)
 
 
 def canonical_residue(value: int, e: int) -> int:
@@ -123,7 +123,7 @@ def canonical_residue(value: int, e: int) -> int:
     Every residue argument passes through here, so any other type raises.
     """
     check_modulus(e)
-    _check_int(value, "residue")
+    value = _check_int(value, "residue")
     return value % e if e else value
 
 
@@ -295,9 +295,10 @@ def partitions_of(d: int) -> list[Partition]:
     (Zoghbi-Stojmenovic, Int. J. Comput. Math. 70 (1998) 319-332; Knuth,
     TAOCP 7.2.1.4) and cached; every call gets its own list.
     """
-    if _check_int(d, "degree") < 0:
+    d = _check_int(d, "degree")
+    if d < 0:
         return []
-    return list(_partition_tuples(int(d)))  # a bool degree still gets int parts
+    return list(_partition_tuples(d))
 
 
 def partitions_up_to(d: int) -> list[Partition]:

@@ -215,12 +215,11 @@ def check_weight_ladder(e: int, max_size: int) -> Optional[str]:
 def check_cartan_pairing(e: int, max_size: int) -> Optional[str]:
     """n_i(lambda), a corner count, equals <h_i, wt(lambda)> from the residue counts."""
     window = residue_window(e, max_size)
+    cartan = {i: [(j, cartan_entry(i, j, e)) for j in window] for i in window}
     for lam in partitions_up_to(max_size):
         counts = residue_counts(lam, e)
         for i in window:
-            pairing = (1 if i == 0 else 0) - sum(
-                counts.get(j, 0) * cartan_entry(i, j, e) for j in window
-            )
+            pairing = (1 if i == 0 else 0) - sum(counts.get(j, 0) * a for j, a in cartan[i])
             if pairing != n_value(lam, i, e):
                 return f"lambda={lam}, i={i}, e={e}"
     return None
@@ -1078,8 +1077,8 @@ SUITES: tuple[str, ...] = tuple(sorted({check.suite for check in CHECKS}))
 def run_verify(suite: str, e: int, d: int, seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run one named suite, or all of them in fixed name order.
 
-    The arguments are checked before any check runs: a size that is not an
-    int raises ``TypeError``, a bad modulus, size or suite ``ValueError``.
+    The arguments are checked before any check runs: a size or seed that is
+    not an int raises ``TypeError``, a bad modulus, size or suite ``ValueError``.
     An exception inside a check is that check's failure.  The counterexample
     of an ``ArithmeticError`` (a failed self-check) is its message; that of
     any other exception, such as a wrong engine handing ``remove_box`` a box
@@ -1090,8 +1089,9 @@ def run_verify(suite: str, e: int, d: int, seed: int = DEFAULT_SEED) -> VerifyRe
     either way.  Under a profiler, a tracer or other threads they all run
     here.
     """
-    e = int(check_modulus(e))  # a bool modulus is kept as its int
-    _check_int(d, "max size", 0)
+    e = check_modulus(e)
+    d = _check_int(d, "max size", 0)
+    seed = _check_int(seed, "seed")
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {[*SUITES, 'all']}")
     checks = [check for check in CHECKS if suite in ("all", check.suite) and check.applies(e)]

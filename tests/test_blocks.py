@@ -34,19 +34,6 @@ def test_blocks_degree_zero():
         blocks(-1, 2)
 
 
-def test_blocks_keep_a_bool_modulus_as_its_int():
-    layer = blocks(2, False)
-    assert all(type(b.modulus) is int and b.modulus == 0 for b in layer)
-    assert all(type(b.weight.modulus) is int for b in layer)
-    assert [b.json_dict() for b in layer] == [b.json_dict() for b in blocks(2, 0)]
-
-
-def test_blocks_keep_a_bool_degree_as_its_int():
-    (block,) = blocks(True, 2)
-    assert type(block.degree) is int and block.degree == 1
-    assert block.json_dict() == blocks(1, 2)[0].json_dict()
-
-
 def test_same_block_examples():
     assert same_block(P((2,)), P((1, 1)), 2) is True
     assert same_block(P((2,)), P((1, 1)), 3) is False

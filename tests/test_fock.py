@@ -272,11 +272,3 @@ def test_trusted_results_equal_the_checked_constructor(a, b, k, e, i):
 def test_a_scalar_that_is_not_an_integer_is_refused():
     with pytest.raises(TypeError):
         0.5 * basis(P((1,)))
-
-
-def test_weight_keeps_a_bool_modulus_as_its_int():
-    p = Partition((2, 1))
-    assert type(weight(p, False).modulus) is int
-    assert weight(p, False) == weight(p, 0) and weight(p, False).modulus == 0
-    with pytest.raises(ValueError):
-        weight(p, True)

@@ -52,14 +52,6 @@ def test_unknown_suite_rejected():
         run_verify("all", 2, -1)
 
 
-def test_a_bool_modulus_is_reported_as_its_int():
-    report = run_verify("blocks", False, 2)
-    assert type(report.modulus) is int and report.modulus == 0
-    assert all(type(r.params["modulus"]) is int for r in report.results)
-    assert report.json_dict() == run_verify("blocks", 0, 2).json_dict()
-    assert '"modulus": 0,' in json.dumps(report.json_dict())
-
-
 def test_a_size_that_is_not_an_int_is_refused_before_any_check(monkeypatch):
     ran = []
     monkeypatch.setattr(
