@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fockspace.casimir import casimir_scalar, eigenvalue_table, x_eigenvalue, y_eigenvalue
@@ -104,3 +106,10 @@ def test_eigenvalue_table_shape():
     assert [entry["residue"] for entry in table["removable"]] == [2, 1]
     assert [entry["box"] for entry in table["addable"]] == [[3, 1], [2, 2], [1, 3]]
     assert [entry["content"] for entry in table["addable"]] == [-2, 0, 2]
+
+
+def test_eigenvalue_table_writes_a_bool_rank_as_its_int():
+    table = eigenvalue_table(P(), True, 0)
+    assert type(table["n"]) is int
+    assert json.dumps(table) == json.dumps(eigenvalue_table(P(), 1, 0))
+    assert '"n": 1,' in json.dumps(table)
