@@ -8,7 +8,7 @@ suites rather than identified by construction.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .fock import Weight, weight
 from .partitions import Partition, _check_int, check_modulus, core_and_weight, p_core, partitions_of
@@ -64,11 +64,14 @@ def same_block(p: Partition, q: Partition, e: int) -> bool:
     return p_core(p, e) == p_core(q, e)
 
 
-def derived_equivalence_classes(layer: list[Block]) -> list[list[Block]]:
-    """Group the blocks of one degree layer by equal p-weight (requires e >= 2)."""
-    if any(block.modulus == 0 for block in layer):
-        raise ValueError("derived-equivalence grouping needs a modulus >= 2")
+def derived_equivalence_classes(layer: Iterable[Block]) -> list[list[Block]]:
+    """Group the blocks of one degree layer by equal p-weight (requires e >= 2).
+
+    The layer is read once, so an iterator groups as its list does.
+    """
     by_weight: dict[int, list[Block]] = {}
     for block in layer:
+        if block.modulus == 0:
+            raise ValueError("derived-equivalence grouping needs a modulus >= 2")
         by_weight.setdefault(block.p_weight, []).append(block)
     return [by_weight[w] for w in sorted(by_weight)]

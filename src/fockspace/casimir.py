@@ -25,7 +25,8 @@ from .partitions import (
 
 def casimir_scalar(p: Partition, n: int) -> int:
     """Sum of (n - 2i + 1) * p_i + p_i^2 over rows i = 1..n (zero-padded)."""
-    if _check_int(n, "rank") < len(p):
+    n = _check_int(n, "rank")
+    if n < len(p):
         raise ValueError(f"rank {n} is smaller than the number of parts of {p}")
     return sum((n - 2 * i + 1) * part + part * part for i, part in enumerate(p, start=1))
 

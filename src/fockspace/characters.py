@@ -23,10 +23,10 @@ Expanding in the Schur basis reads the dominant terms only: the greatest one
 is the leading term, a partition, and subtracting its Kostka row only leaves
 smaller ones, so the loop terminates.
 
-Two module caches live here, each reused within one request: the branching
-rule's sub-shapes (``_dominant_branch``) and the full terms of each Schur
-polynomial (``_schur_terms``).  ``_kostka`` and ``complete_homogeneous`` are
-not cached; ``schur_jacobi_trudi`` memoises its h_k and minors for the call.
+One module cache lives here, reused within one request: the branching
+rule's sub-shapes (``_dominant_branch``).  ``_schur_terms``, ``_kostka`` and
+``complete_homogeneous`` are not cached; ``schur_jacobi_trudi`` memoises its
+h_k and minors for the call.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class SymPolynomial(IntCombination):
         return f"SymPolynomial({self.num_vars}, {body})"
 
 
-@lru_cache(maxsize=4096)
 def _schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The sorted (exponent vector, coefficient) pairs of s_shape(x_1..x_n).
 
@@ -213,7 +212,8 @@ def schur(p: Partition, n: int) -> SymPolynomial:
 def complete_homogeneous(k: int, n: int) -> SymPolynomial:
     """h_k(x_1..x_n): every monomial of total degree k once, one per multiset of k variables."""
     n = _check_int(n, "number of variables", 0)
-    if _check_int(k, "degree") < 0:
+    k = _check_int(k, "degree")
+    if k < 0:
         return SymPolynomial.zero(n)
     terms = {}
     for indices in combinations_with_replacement(range(n), k):
@@ -330,7 +330,8 @@ def branch_r1(p: Partition, n: int) -> list[Partition]:
     So the work is done at n = |p|, which also keeps the branching-rule
     recursion |p| + 1 deep whatever n is.
     """
-    if _check_int(n, "number of variables") < p.size:
+    n = _check_int(n, "number of variables")
+    if n < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
     n = p.size
     layer: dict[tuple[int, ...], int] = {}
@@ -355,7 +356,8 @@ def pieri_mult(p: Partition, n: int) -> list[Partition]:
     on n, so the work is done at min(n, |p| + 1) variables; that also keeps
     the branching-rule recursion at most |p| + 1 deep whatever n is.
     """
-    if _check_int(n, "number of variables") < p.size:
+    n = _check_int(n, "number of variables")
+    if n < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
     n = min(n, p.size + 1)
     terms: dict[tuple[int, ...], int] = {}

@@ -186,22 +186,6 @@ def _times_letter(i: int, terms: Mapping[Term, int]) -> dict[Term, int]:
     return {t: c for t, c in new.items() if c}
 
 
-def straighten_word_times_poly(word: list[int] | tuple[int, ...], exps: Exps, n: int) -> HeckeElement:
-    """Normal form of an explicit generator word times a y-monomial.
-
-    Exposed so that independence of the chosen reduced word can be checked
-    directly against ``multiply``.
-    """
-    n = _check_int(n, "rank")
-    for i in word:
-        if not 1 <= _check_int(i, "generator index") <= n - 1:
-            raise ValueError(f"generator index {i} out of range for rank {n}")
-    terms = HeckeElement(n, {(tuple(exps), identity_perm(n)): 1}).terms
-    for i in reversed(tuple(map(int, word))):
-        terms = _times_letter(i, terms)
-    return HeckeElement._trusted(terms, n)
-
-
 MAX_PRODUCT_SIZE = 400_000
 """Most terms times rank a product, a sum or a product's memo may hold;
 every term holds two rank-long tuples."""

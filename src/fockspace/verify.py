@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import time
-from functools import cache
+from functools import cache, reduce
 from itertools import permutations, product
 from operator import le
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
@@ -49,8 +49,8 @@ from .crystal import (
 from .hecke import (
     HeckeElement,
     all_reduced_words,
+    from_generator,
     identity_perm,
-    straighten_word_times_poly,
     verify_relations,
 )
 from .fock import (
@@ -706,9 +706,13 @@ def check_schur_stability(max_size: int, max_vars: int) -> Optional[str]:
 
 
 def check_branch_coherence(max_size: int, max_vars: int) -> Optional[str]:
-    """Polynomial branching layer equals removable-box enumeration."""
+    """Polynomial branching layer equals removable-box enumeration.
+
+    n runs from |lam| to max(|lam|, max_vars), so a partition of more than
+    max_vars boxes is still examined, at n = |lam|.
+    """
     for lam in partitions_up_to(max_size):
-        for n in range(lam.size, max_vars + 1):
+        for n in range(lam.size, max(lam.size, max_vars) + 1):
             expected = sorted(
                 (remove_box(lam, b) for b in removable_boxes(lam)), reverse=True
             )
@@ -718,9 +722,12 @@ def check_branch_coherence(max_size: int, max_vars: int) -> Optional[str]:
 
 
 def check_pieri_coherence(max_size: int, max_vars: int) -> Optional[str]:
-    """Schur expansion of s_1 * s_lam equals addable boxes with <= n rows."""
+    """Schur expansion of s_1 * s_lam equals addable boxes with <= n rows.
+
+    n runs from max(|lam|, 1) to max(|lam|, max_vars), as in branch coherence.
+    """
     for lam in partitions_up_to(max_size):
-        for n in range(max(lam.size, 1), max_vars + 1):
+        for n in range(max(lam.size, 1), max(lam.size, max_vars) + 1):
             expected = sorted(
                 (add_box(lam, b) for b in addable_boxes(lam) if b.row <= n),
                 reverse=True,
@@ -885,13 +892,19 @@ def check_hecke_associativity(max_rank: int, trials: int, seed: int) -> Optional
 
 
 def check_reduced_word_independence(rank: int) -> Optional[str]:
-    """All reduced words of each w in S_rank straighten w*y^a identically, a_k < 3."""
+    """All reduced words of each w in S_rank straighten w*y^a identically, a_k < 3.
+
+    Each word acts on y^a one generator at a time through ``multiply``.  A
+    t_w built whole would be peeled by ``multiply`` itself, the same way
+    whatever the word, so the check would pass whatever the letters do.
+    """
+    t = {i: from_generator("t", i, rank) for i in range(1, rank)}
+    identity = identity_perm(rank)
     for perm in permutations(range(1, rank + 1)):
         words = list(all_reduced_words(perm))
         for exps in product(range(3), repeat=rank):
-            outcomes = {
-                straighten_word_times_poly(word, exps, rank) for word in words
-            }
+            y = HeckeElement(rank, {(exps, identity): 1})
+            outcomes = {reduce(lambda v, i: t[i] * v, reversed(word), y) for word in words}
             if len(outcomes) != 1:
                 return f"w={perm}, exps={exps}"
     return None

@@ -1,10 +1,8 @@
 import signal
 from contextlib import contextmanager
 
-import pytest
 from hypothesis import strategies as st
 
-from fockspace import characters
 from fockspace.partitions import Partition, partitions_up_to
 
 ALL_SMALL = partitions_up_to(8)
@@ -45,18 +43,3 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.fixture
-def fresh_character_caches():
-    """Empty the Schur caches before and after a test that patches ``characters._kostka``.
-
-    ``_schur_terms`` reads its rows through the module global, so a patched
-    engine would otherwise leave wrong terms cached for later tests.
-    """
-    caches = (characters._schur_terms,)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()

@@ -46,7 +46,6 @@ from fockspace.hecke import (
     HeckeElement,
     from_generator,
     parse_expression,
-    straighten_word_times_poly,
     verify_relations,
 )
 from fockspace.partitions import (
@@ -180,10 +179,6 @@ ROWS = {
         "from_generator(n)", lambda v: from_generator("y", 1, v), "rank",
         (0, "y index must be in 1..0, got 1"),
     ),
-    "straighten_word_times_poly": (
-        "straighten_word_times_poly(n)", lambda v: straighten_word_times_poly([], (0,), v),
-        "rank", RANK_LOW,
-    ),
     "parse_expression": (
         "parse_expression(n)", lambda v: parse_expression("y1", v), "rank", RANK_LOW,
     ),
@@ -240,7 +235,7 @@ EXEMPT = {
 }
 
 # Public in their modules, not exported from the package, and covered all the same.
-MODULE_ONLY = (eigenvalue_table, straighten_word_times_poly)
+MODULE_ONLY = (eigenvalue_table,)
 
 
 def _json_text(result):
@@ -319,6 +314,20 @@ def test_a_value_below_the_bound_keeps_its_message(row):
     _, call, _, (value, message) = ROWS[row]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: casimir_scalar(P((1, 1)), True), "rank 1 is smaller than the number of parts of [1,1]"),
+        (lambda: branch_r1(P((2,)), True), "need n >= |p| = 2, got 1"),
+        (lambda: pieri_mult(P((2,)), True), "need n >= |p| = 2, got 1"),
+    ],
+    ids=["casimir_scalar", "branch_r1", "pieri_mult"],
+)
+def test_a_bound_message_quotes_the_kept_int(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("row", MODULI)

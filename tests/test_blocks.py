@@ -63,6 +63,14 @@ def test_derived_equivalence_examples():
         derived_equivalence_classes(blocks(3, 0))
 
 
+@pytest.mark.parametrize("layer_of", [list, iter, lambda layer: (b for b in layer)],
+                         ids=["list", "iterator", "generator"])
+def test_derived_equivalence_reads_its_layer_once(layer_of):
+    classes = derived_equivalence_classes(layer_of(blocks(6, 3)))
+    assert [[b.p_weight for b in c] for c in classes] == [[0, 0], [2]]
+    assert classes == derived_equivalence_classes(blocks(6, 3))
+
+
 @pytest.mark.parametrize("e", [2, 3, 5])
 def test_weight_equality_iff_core_equality(e):
     for d in range(9):

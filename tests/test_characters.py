@@ -165,7 +165,7 @@ def test_a_dropped_schur_term_fails_both_schur_oracles(monkeypatch):
     assert failed == {"schur_tableaux_agree": "lambda=[], n=0"}
 
 
-def test_a_dropped_kostka_row_fails_both_kostka_oracles(monkeypatch, fresh_character_caches):
+def test_a_dropped_kostka_row_fails_both_kostka_oracles(monkeypatch):
     import fockspace.characters as characters_module
     import fockspace.verify as verify_module
 

@@ -466,7 +466,7 @@ def test_an_exception_inside_a_check_is_its_failure(monkeypatch, capsys):
     assert found["box_counts"] == "ValueError: box (3, 1) is not removable from [1,1,1]"
 
 
-def test_verify_names_a_schur_expansion_that_does_not_cancel(monkeypatch, capsys, fresh_character_caches):
+def test_verify_names_a_schur_expansion_that_does_not_cancel(monkeypatch, capsys):
     import fockspace.characters as characters_module
 
     original = characters_module._kostka
@@ -504,7 +504,7 @@ def test_an_internal_fault_exits_3_with_one_line(monkeypatch, capsys):
     assert (code, out, err) == (3, "", "internal error: RuntimeError: synthetic fault\n")
 
 
-def test_a_failed_schur_self_check_exits_3(monkeypatch, capsys, fresh_character_caches):
+def test_a_failed_schur_self_check_exits_3(monkeypatch, capsys):
     import fockspace.characters as characters_module
 
     original = characters_module._kostka

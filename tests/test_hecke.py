@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -21,7 +22,6 @@ from fockspace.hecke import (
     parse_expression,
     reduced_word,
     simple_transposition,
-    straighten_word_times_poly,
     verify_relations,
 )
 
@@ -114,11 +114,18 @@ def test_associativity_on_seeded_random_triples():
     assert checked >= 100
 
 
+def word_times_poly(word, exps, n):
+    """t_word[0] ... t_word[-1] * y^exps, one generator at a time through ``multiply``."""
+    _, t = gens(n)
+    y = HeckeElement(n, {(exps, identity_perm(n)): 1})
+    return functools.reduce(lambda v, i: t[i] * v, reversed(word), y)
+
+
 def test_reduced_word_independence_s3():
     for perm in itertools.permutations((1, 2, 3)):
         words = list(all_reduced_words(perm))
         for exps in itertools.product(range(3), repeat=3):
-            outcomes = {straighten_word_times_poly(w, exps, 3) for w in words}
+            outcomes = {word_times_poly(w, exps, 3) for w in words}
             assert len(outcomes) == 1, (perm, exps)
 
 
@@ -127,7 +134,7 @@ def test_straightening_matches_multiply():
         w_elt = HeckeElement(3, {((0, 0, 0), perm): 1})
         for exps in itertools.product(range(2), repeat=3):
             y_elt = HeckeElement(3, {(exps, identity_perm(3)): 1})
-            assert straighten_word_times_poly(reduced_word(perm), exps, 3) == w_elt * y_elt
+            assert word_times_poly(reduced_word(perm), exps, 3) == w_elt * y_elt
 
 
 def test_y_degree_filtration():
@@ -501,19 +508,16 @@ def test_normal_form_command_refuses_a_product_past_the_size_limit(monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "word, exps, error, match",
+    "make, error, message",
     [
-        ((1,), (1,), ValueError, "term ((1,), (1, 2)) does not have rank 2"),
-        ((1,), (1, 2, 3), ValueError, "term ((1, 2, 3), (1, 2)) does not have rank 2"),
-        ((1.0,), (0, 0), TypeError, "generator index must be an integer, got 1.0"),
+        (lambda: HeckeElement(2, {((1,), (1, 2)): 1}), ValueError, "term ((1,), (1, 2)) does not have rank 2"),
+        (lambda: HeckeElement(2, {((-1, 0), (1, 2)): 1}), ValueError, "negative exponent in (-1, 0)"),
+        (lambda: HeckeElement(2, {((0, 0), (1, 1)): 1}), ValueError, "(1, 1) is not a permutation of 1..2"),
+        (lambda: multiply(HeckeElement.one(2), 3), TypeError, "cannot multiply a HeckeElement by int"),
+        (lambda: parse_expression("(y1 y2)", 2), ValueError, "unbalanced parentheses"),
     ],
+    ids=["wrong_rank", "negative_exponent", "not_a_permutation", "int_factor", "unbalanced"],
 )
-def test_straightening_checks_its_input_once(word, exps, error, match):
-    with pytest.raises(error, match=re.escape(match)):
-        straighten_word_times_poly(word, exps, 2)
-
-
-def test_a_bool_letter_straightens_as_its_int():
-    straightened = straighten_word_times_poly((True,), (0, 1), 2)
-    assert straightened == straighten_word_times_poly((1,), (0, 1), 2)
-    assert {type(x) for exps, perm in straightened.terms for x in exps + perm} == {int}
+def test_each_refusal_names_its_fault(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

@@ -5,6 +5,7 @@ import pytest
 
 import fockspace.characters as characters
 import fockspace.forked as forked
+import fockspace.hecke as hecke_module
 import fockspace.verify as verify_module
 from fockspace.crystal import Signature
 from fockspace.partitions import MINUS, Partition
@@ -13,10 +14,12 @@ from fockspace.verify import (
     DEFAULT_SEED,
     SUITES,
     check_block_p_weights,
+    check_branch_coherence,
     check_confluence,
     check_connectivity,
     check_core_well_defined,
     check_jacobi_trudi,
+    check_pieri_coherence,
     check_reduced_word_independence,
     check_residue_partition,
     check_rim_hooks_agree,
@@ -234,6 +237,38 @@ def test_singleton_blocks_runs_only_at_modulus_zero():
 def test_reduced_word_independence_takes_its_rank():
     for rank in (1, 2, 3):
         assert check_reduced_word_independence(rank) is None
+
+
+def test_reduced_word_independence_applies_each_letter(monkeypatch):
+    """A wrong t_1 shows: a t_w built whole would be peeled alike for every word."""
+    original = hecke_module._times_letter
+
+    def negated_t1(i, terms):
+        image = original(i, terms)
+        if i != 1:
+            return image
+        kept = {u for _, u in terms}
+        return {(a, u): -c if u in kept else c for (a, u), c in image.items()}
+
+    monkeypatch.setattr(hecke_module, "_times_letter", negated_t1)
+    assert check_reduced_word_independence(3) == "w=(3, 2, 1), exps=(0, 0, 1)"
+    assert check_reduced_word_independence(4) == "w=(3, 2, 1, 4), exps=(0, 0, 1, 0)"
+
+
+def _dropping_the_last_above_four_boxes(engine):
+    return lambda lam, n: engine(lam, n)[:-1] if lam.size > 4 else engine(lam, n)
+
+
+def test_branch_coherence_examines_partitions_past_max_vars(monkeypatch):
+    monkeypatch.setattr(verify_module, "branch_r1",
+                        _dropping_the_last_above_four_boxes(verify_module.branch_r1))
+    assert check_branch_coherence(6, 4) == "lambda=[5], n=5"
+
+
+def test_pieri_coherence_examines_partitions_past_max_vars(monkeypatch):
+    monkeypatch.setattr(verify_module, "pieri_mult",
+                        _dropping_the_last_above_four_boxes(verify_module.pieri_mult))
+    assert check_pieri_coherence(6, 4) == "lambda=[5], n=5"
 
 
 def test_residue_partition_examines_the_window_at_modulus_zero(monkeypatch):
