@@ -24,7 +24,7 @@ is the leading term, a partition, and subtracting its Kostka row only leaves
 smaller ones, so the loop terminates.
 
 One module cache lives here, reused within one request: the branching
-rule's sub-shapes (``_dominant_branch``).  ``_schur_terms``, ``_kostka`` and
+rule's sub-shapes (``_dominant_branch``).  ``_kostka`` and
 ``complete_homogeneous`` are not cached; ``schur_jacobi_trudi`` memoises its
 h_k and minors for the call.
 """
@@ -105,17 +105,6 @@ class SymPolynomial(IntCombination):
             f"{c}*x^{list(e)}" for e, c in sorted(self.terms.items(), reverse=True)
         )
         return f"SymPolynomial({self.num_vars}, {body})"
-
-
-def _schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The sorted (exponent vector, coefficient) pairs of s_shape(x_1..x_n).
-
-    Each Kostka row (mu, K_shape,mu) stands for K_shape,mu m_mu, whose terms
-    are the distinct rearrangements of mu.
-    """
-    terms = [(exps, k) for mu, k in _kostka(shape, n) for exps in _rearrangements(mu)]
-    terms.sort()
-    return tuple(terms)
 
 
 def _rearrangements(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -201,12 +190,12 @@ def _dominant_branch(
 def schur(p: Partition, n: int) -> SymPolynomial:
     """The Schur polynomial s_p(x_1..x_n), every term, from its Kostka row.
 
-    Zero when p has more than n rows.
+    Zero when p has more than n rows, where ``_kostka`` has no row.
     """
     n = _check_int(n, "number of variables", 0)
-    if len(p) > n:
-        return SymPolynomial.zero(n)
-    return SymPolynomial._trusted(dict(_schur_terms(p, n)), n)
+    return SymPolynomial._trusted(
+        {exps: k for mu, k in _kostka(p, n) for exps in _rearrangements(mu)}, n
+    )
 
 
 def complete_homogeneous(k: int, n: int) -> SymPolynomial:

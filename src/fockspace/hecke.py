@@ -49,8 +49,17 @@ def simple_transposition(i: int, n: int) -> Perm:
     return tuple(line)
 
 
+def _check_perm(w: Perm) -> None:
+    """Raise unless w lists 1..len(w) in some order: TypeError for a non-int entry."""
+    if not all(map(isinstance, w, repeat(int))):
+        raise TypeError(f"permutation entries must be integers, got {w!r}")
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
+
+
 def reduced_word(w: Perm) -> list[int]:
     """One reduced word for w, peeled off right descents."""
+    _check_perm(w)
     line = list(w)
     peeled = []
     while True:
@@ -65,15 +74,18 @@ def reduced_word(w: Perm) -> list[int]:
 
 def all_reduced_words(w: Perm) -> Iterator[tuple[int, ...]]:
     """Every reduced word of w (exponential; meant for small ranks)."""
-    if all(w[k] == k + 1 for k in range(len(w))):
+    _check_perm(w)
+    return _reduced_words(tuple(w))
+
+
+def _reduced_words(w: Perm) -> Iterator[tuple[int, ...]]:
+    """Every reduced word of the permutation w, which is the identity when it has no descent."""
+    descents = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
+    if not descents:
         yield ()
-        return
-    for i in range(1, len(w)):
-        if w[i - 1] > w[i]:
-            shorter = list(w)
-            shorter[i - 1], shorter[i] = shorter[i], shorter[i - 1]
-            for word in all_reduced_words(tuple(shorter)):
-                yield word + (i,)
+    for i in descents:
+        shorter = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+        yield from (word + (i,) for word in _reduced_words(shorter))
 
 
 class HeckeElement(IntCombination):
@@ -99,8 +111,7 @@ class HeckeElement(IntCombination):
             raise TypeError(f"term entries must be integers, got {term!r}")
         if any(x < 0 for x in exps):
             raise ValueError(f"negative exponent in {exps}")
-        if sorted(perm) != list(range(1, n + 1)):
-            raise ValueError(f"{perm} is not a permutation of 1..{n}")
+        _check_perm(perm)
         return (tuple(map(int, exps)), tuple(map(int, perm)))  # a bool entry as its int
 
     @classmethod

@@ -134,7 +134,7 @@ def residue_window(e: int, d: int) -> list[int]:
     stay strictly inside it.  For e >= 2 it is all of Z/eZ.
     """
     check_modulus(e)
-    _check_int(d, "max size")
+    _check_int(d, "max size", 0)
     if e:
         return list(range(e))
     return list(range(-(d + 1), d + 2))

@@ -28,7 +28,6 @@ from .casimir import casimir_scalar, x_eigenvalue, y_eigenvalue
 from .characters import (
     SymPolynomial,
     _kostka,
-    _schur_terms,
     branch_r1,
     pieri_mult,
     restrict_last_var,
@@ -798,8 +797,8 @@ def _ssyt_row(width: int, n: int, above: tuple[int, ...], lo: int) -> Iterator[t
 def _tableau_schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """s_shape(x_1..x_n) by counting semistandard tableaux per weight.
 
-    Exponential in the size; the independent oracle for ``_schur_terms`` and
-    ``_kostka``, returning the same sorted (exponents, count) pairs.
+    Exponential in the size; the independent oracle for ``schur`` and
+    ``_kostka``, returned as sorted (exponents, count) pairs.
     """
     counts: dict[tuple[int, ...], int] = {}
     for tableau in _ssyt_rows(shape, n):
@@ -813,10 +812,10 @@ def _tableau_schur_terms(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[in
 
 
 def check_schur_tableaux_agree(max_size: int, max_vars: int) -> Optional[str]:
-    """The Schur terms built from the Kostka rows equal the tableau counts, in order."""
+    """The terms of ``schur``, built from the Kostka rows, equal the tableau counts."""
     for n in range(max_vars + 1):
         for lam in partitions_up_to(max_size):
-            if _schur_terms(lam, n) != _tableau_schur_terms(lam, n):
+            if schur(lam, n).terms != dict(_tableau_schur_terms(lam, n)):
                 return f"lambda={lam}, n={n}"
     return None
 

@@ -77,7 +77,10 @@ VARIABLES_LOW = (-1, "number of variables must be >= 0, got -1")
 ROWS = {
     "partitions_of": ("partitions_of(d)", lambda v: partitions_of(v), "degree", None),
     "partitions_up_to": ("partitions_up_to(d)", lambda v: partitions_up_to(v), "max size", None),
-    "residue_window": ("residue_window(d)", lambda v: residue_window(3, v), "max size", None),
+    "residue_window": (
+        "residue_window(d)", lambda v: residue_window(3, v), "max size",
+        (-1, "max size must be >= 0, got -1"),
+    ),
     "removable_rim_hooks": (
         "removable_rim_hooks(length)", lambda v: removable_rim_hooks(P((2, 1)), v), "hook length",
         (0, "hook length must be >= 1, got 0"),

@@ -9,7 +9,6 @@ from conftest import deadline, partition_strategy
 from fockspace.characters import (
     SymPolynomial,
     _kostka,
-    _schur_terms,
     branch_r1,
     complete_homogeneous,
     pieri_mult,
@@ -109,7 +108,7 @@ def test_schur_stability_under_restriction():
 def test_branching_rule_equals_tableau_enumeration():
     for n in range(8):
         for lam in partitions_up_to(7):
-            assert _schur_terms(lam.parts, n) == _tableau_schur_terms(lam.parts, n)
+            assert schur(lam, n).terms == dict(_tableau_schur_terms(lam.parts, n))
 
 
 @pytest.mark.parametrize("e", [0, 2, 3, 5])
@@ -123,10 +122,10 @@ def test_schur_tableaux_agree_catches_a_dropped_term(monkeypatch):
     import fockspace.verify as verify_module
 
     def drop_second_term(shape, n):
-        terms = _schur_terms(shape, n)
-        return terms[:1] + terms[2:]
+        terms = sorted(schur(shape, n).terms.items())
+        return SymPolynomial._trusted(dict(terms[:1] + terms[2:]), n)
 
-    monkeypatch.setattr(verify_module, "_schur_terms", drop_second_term)
+    monkeypatch.setattr(verify_module, "schur", drop_second_term)
     assert check_schur_tableaux_agree(4, 4) == "lambda=[1], n=2"
 
 
@@ -150,19 +149,28 @@ def test_kostka_agree_catches_rows_without_the_dominance_filter(monkeypatch):
     import fockspace.verify as verify_module
 
     # every exponent vector, dominant or not: the branching rule unfiltered
-    monkeypatch.setattr(verify_module, "_kostka", _schur_terms)
+    monkeypatch.setattr(
+        verify_module, "_kostka", lambda shape, n: tuple(sorted(schur(shape, n).terms.items()))
+    )
     assert check_kostka_agree(6, 6) == "lambda=[1], n=2"
 
 
 def test_a_dropped_schur_term_fails_both_schur_oracles(monkeypatch):
     import fockspace.verify as verify_module
 
-    monkeypatch.setattr(verify_module, "_schur_terms", lambda shape, n: _schur_terms(shape, n)[:-1])
+    def drop_last_term(shape, n):
+        return SymPolynomial._trusted(dict(sorted(schur(shape, n).terms.items())[:-1]), n)
+
+    monkeypatch.setattr(verify_module, "schur", drop_last_term)
     failed = {
         r.name: r.counterexample for r in run_verify("characters", 3, 4).results if not r.passed
     }
-    # kostka_agree reads _kostka against the tableau counts, not _schur_terms
-    assert failed == {"schur_tableaux_agree": "lambda=[], n=0"}
+    # kostka_agree reads _kostka against the tableau counts, not schur, so it passes
+    assert failed == {
+        "symmetry": "lambda=[1], n=2: not symmetric at (0, 1) <-> (1, 0)",
+        "schur_tableaux_agree": "lambda=[], n=0",
+        "jacobi_trudi": "lambda=[], n=0",
+    }
 
 
 def test_a_dropped_kostka_row_fails_both_kostka_oracles(monkeypatch):

@@ -515,8 +515,18 @@ def test_normal_form_command_refuses_a_product_past_the_size_limit(monkeypatch, 
         (lambda: HeckeElement(2, {((0, 0), (1, 1)): 1}), ValueError, "(1, 1) is not a permutation of 1..2"),
         (lambda: multiply(HeckeElement.one(2), 3), TypeError, "cannot multiply a HeckeElement by int"),
         (lambda: parse_expression("(y1 y2)", 2), ValueError, "unbalanced parentheses"),
+        (lambda: reduced_word((3, 1)), ValueError, "(3, 1) is not a permutation of 1..2"),
+        (lambda: reduced_word((2, 2, 1)), ValueError, "(2, 2, 1) is not a permutation of 1..3"),
+        (lambda: reduced_word(("b", "a")), TypeError, "permutation entries must be integers, got ('b', 'a')"),
+        (lambda: all_reduced_words((3, 1)), ValueError, "(3, 1) is not a permutation of 1..2"),
+        (lambda: all_reduced_words((2, 2, 1)), ValueError, "(2, 2, 1) is not a permutation of 1..3"),
+        (lambda: all_reduced_words(("b", "a")), TypeError, "permutation entries must be integers, got ('b', 'a')"),
     ],
-    ids=["wrong_rank", "negative_exponent", "not_a_permutation", "int_factor", "unbalanced"],
+    ids=[
+        "wrong_rank", "negative_exponent", "not_a_permutation", "int_factor", "unbalanced",
+        "reduced_word_out_of_range", "reduced_word_repeated", "reduced_word_non_int",
+        "all_reduced_words_out_of_range", "all_reduced_words_repeated", "all_reduced_words_non_int",
+    ],
 )
 def test_each_refusal_names_its_fault(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

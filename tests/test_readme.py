@@ -1,9 +1,13 @@
-"""The README "Library use" block runs and its comments state true values."""
+"""The README's examples run: the "Library use" block and every command example."""
 
 import ast
+import shlex
 from pathlib import Path
 
+import pytest
+
 from fockspace import Block, Box, FockVector, Partition
+from fockspace.cli import main
 from fockspace.verify import CHECKS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -23,6 +27,23 @@ def _verify_suite_paragraphs() -> dict[str, str]:
         for paragraph in paragraphs
         if paragraph.startswith("The `") and " suite runs" in paragraph
     }
+
+
+def _command_examples() -> list:
+    """One param per ``$ fockspace`` line: its arguments and the output lines shown under it.
+
+    A shown output ends at the next blank line or code fence.
+    """
+    lines = README.read_text().splitlines()
+    examples = []
+    for k, line in enumerate(lines):
+        if line.startswith("$ fockspace "):
+            end = next(
+                j for j in range(k + 1, len(lines)) if not lines[j] or lines[j].startswith("```")
+            )
+            command = line.removeprefix("$ fockspace ").split(" --")[0]
+            examples.append(pytest.param(shlex.split(line)[2:], lines[k + 1:end], id=command))
+    return examples
 
 
 def _run_block(block: str) -> dict[str, object]:
@@ -65,3 +86,27 @@ def test_verify_suites_section_lists_every_check():
         if f"`{check.name}`" not in paragraphs.get(check.suite, "")
     ]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("argv, shown", _command_examples())
+def test_each_command_example_prints_what_the_readme_shows(capsys, argv, shown):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    stripped = [line.strip() for line in shown]
+    if "..." in stripped:
+        # a line that is only "..." stands for whole lines of the output
+        k = stripped.index("...")
+        above, below = shown[:k], shown[k + 1:]
+        printed = out.splitlines()
+        assert printed[:len(above)] == above
+        assert printed[len(printed) - len(below):] == below
+        return
+    # the README wraps a long output line before a space; the output is one line
+    text = "".join(shown)
+    if "..." in text:
+        # "..." inside a line stands for text
+        assert out.startswith(text.split("...")[0])
+        assert out.endswith(text.rsplit("...", 1)[1] + "\n")
+    else:
+        assert out == text + "\n"
