@@ -33,7 +33,8 @@ PROFILE_ROWS = 25
 
 # Work limits: the largest --max-size of crystal and verify, --degree of
 # fock op-matrix and blocks, --modulus of verify, partition size of pieri
-# and branch and --rank of hecke normal-form that a request may ask for.
+# and branch, number of parts of the casimir partition and --rank of hecke
+# normal-form that a request may ask for.
 # Each keeps the slowest request it admits to about two seconds; README's
 # work-limit paragraph gives the measured times.  A crystal graph, an
 # operator matrix and a verify sweep cover every partition up to the size,
@@ -41,14 +42,17 @@ PROFILE_ROWS = 25
 # when the modulus exceeds the degree).  The work of pieri and branch grows
 # with the partition, not with --n.  The relation checks of verify visit
 # every pair of residues, so its work grows with the square of --modulus
-# whatever --max-size is.  Every Hecke term carries an exponent tuple and a
-# permutation of length --rank, so each term costs O(rank).
+# whatever --max-size is.  casimir takes the eigenvalue of every corner, and
+# each costs O(parts), so its work grows with the square of the number of
+# parts, most for a staircase.  Every Hecke term carries an exponent tuple
+# and a permutation of length --rank, so each term costs O(rank).
 MAX_CRYSTAL_SIZE = 30
 MAX_OP_DEGREE = 40
 MAX_CHARACTER_SIZE = 22
 MAX_VERIFY_SIZE = 12
 MAX_BLOCKS_DEGREE = 38
 MAX_VERIFY_MODULUS = 20
+MAX_CASIMIR_PARTS = 800
 MAX_HECKE_RANK = 10_000
 
 
@@ -151,6 +155,7 @@ def _run_core(args: argparse.Namespace) -> int:
 
 def _run_casimir(args: argparse.Namespace) -> int:
     p = Partition.parse(args.partition)
+    _check_limit("the number of parts of --partition", len(p), MAX_CASIMIR_PARTS)
     _emit(json.dumps(eigenvalue_table(p, args.n, args.modulus)))
     return 0
 

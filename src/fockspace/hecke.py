@@ -290,35 +290,22 @@ def verify_relations(n: int) -> dict[str, bool]:
     return report
 
 
-def _tokenize(expr: str) -> list[tuple[str, str]]:
+def _tokenize(expr: str) -> list[str]:
+    """The tokens as written: y, t or a digit with the digits after it, else one character."""
     if bad := [ch for ch in expr if not (ch.isspace() or ch in "0123456789yt+-*()")]:
         raise ValueError(f"unexpected character {bad[0]!r} in expression")
-    tokens: list[tuple[str, str]] = []
+    tokens: list[str] = []
     k = 0
     while k < len(expr):
-        ch = expr[k]
-        if ch.isspace():
-            k += 1
-        elif ch in "yt":
-            j = k + 1
+        j = k + 1
+        if expr[k] in "yt0123456789":
             while j < len(expr) and expr[j].isdigit():
                 j += 1
-            if j == k + 1:
+            if j == k + 1 and expr[k] in "yt":
                 raise ValueError(f"generator {expr[k:j + 1]!r} needs an index")
-            tokens.append((ch, expr[k + 1:j]))
-            k = j
-        elif ch.isdigit():
-            j = k
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
-            tokens.append(("int", expr[k:j]))
-            k = j
-        elif ch in "+-*":
-            tokens.append(("op", ch))
-            k += 1
-        else:
-            tokens.append(("paren", ch))
-            k += 1
+        if not expr[k].isspace():
+            tokens.append(expr[k:j])
+        k = j
     return tokens
 
 
@@ -341,7 +328,7 @@ class _Parser:
     """Recursive descent for: expr := term (('+'|'-') term)*,
     term := factor ('*' factor)*, factor := '-' factor | atom."""
 
-    def __init__(self, tokens: list[tuple[str, str]], n: int):
+    def __init__(self, tokens: list[str], n: int):
         self.tokens = tokens
         self.pos = 0
         self.n = n
@@ -356,10 +343,10 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def peek(self) -> tuple[str, str] | None:
+    def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> tuple[str, str]:
+    def take(self) -> str:
         token = self.peek()
         if token is None:
             raise ValueError("unexpected end of expression")
@@ -369,15 +356,13 @@ class _Parser:
     def parse(self) -> HeckeElement:
         value = self.expr()
         if self.peek() is not None:
-            kind, text = self.peek()
-            written = kind + text if kind in ("y", "t") else text
-            raise ValueError(f"trailing token {written!r} in expression")
+            raise ValueError(f"trailing token {self.peek()!r} in expression")
         return value
 
     def expr(self) -> HeckeElement:
         value = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
+        while self.peek() in ("+", "-"):
+            op = self.take()
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
             if len(value.terms) * self.n > MAX_PRODUCT_SIZE:
@@ -386,29 +371,30 @@ class _Parser:
 
     def term(self) -> HeckeElement:
         value = self.factor()
-        while self.peek() == ("op", "*"):
+        while self.peek() == "*":
             self.take()
             value = value * self.factor()
         return value
 
     def factor(self) -> HeckeElement:
-        if self.peek() == ("op", "-"):
+        if self.peek() == "-":
             self.take()
             return -self.nested(self.factor)
         return self.atom()
 
     def atom(self) -> HeckeElement:
-        kind, text = self.take()
-        if kind in ("y", "t"):
-            return from_generator(kind, _read_int(text, f"index of {kind}"), self.n)
-        if kind == "int":
-            return HeckeElement.scalar(_read_int(text, "integer"), self.n)
-        if (kind, text) == ("paren", "("):
+        token = self.take()
+        kind = token[0]
+        if kind in "yt":
+            return from_generator(kind, _read_int(token[1:], f"index of {kind}"), self.n)
+        if kind.isdigit():
+            return HeckeElement.scalar(_read_int(token, "integer"), self.n)
+        if token == "(":
             value = self.nested(self.expr)
-            if self.take() != ("paren", ")"):
+            if self.take() != ")":
                 raise ValueError("unbalanced parentheses")
             return value
-        raise ValueError(f"unexpected token {text!r}")
+        raise ValueError(f"unexpected token {token!r}")
 
 
 def parse_expression(expr: str, n: int) -> HeckeElement:

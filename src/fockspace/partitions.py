@@ -213,12 +213,16 @@ def _edit_row(p: Partition, row: int, step: int) -> Partition:
 
 
 def add_box(p: Partition, box: Box) -> Partition:
+    if not isinstance(box, Box):
+        raise TypeError(f"add_box asks for a Box(row, col), got {box!r}")
     if box not in addable_boxes(p):
         raise ValueError(f"box {tuple(box)} is not addable to {p}")
     return _edit_row(p, box.row, 1)
 
 
 def remove_box(p: Partition, box: Box) -> Partition:
+    if not isinstance(box, Box):
+        raise TypeError(f"remove_box asks for a Box(row, col), got {box!r}")
     if box not in removable_boxes(p):
         raise ValueError(f"box {tuple(box)} is not removable from {p}")
     return _edit_row(p, box.row, -1)

@@ -6,6 +6,7 @@ from fockspace.casimir import casimir_scalar, eigenvalue_table, x_eigenvalue, y_
 from fockspace.partitions import (
     Box,
     Partition,
+    add_box,
     addable_boxes,
     partitions_up_to,
     removable_boxes,
@@ -76,6 +77,22 @@ def test_eigenvalues_of_a_non_corner_box_name_it():
         x_eigenvalue(P((2,)), Box(2, 1), 2, 0)
     with pytest.raises(ValueError, match=r"^box \(1, 1\) is not addable to \[1\]$"):
         y_eigenvalue(P((1,)), Box(1, 1), 2, 0)
+
+
+@pytest.mark.parametrize(
+    "move, name",
+    [
+        (lambda: add_box(P((2, 1)), (1, 3)), "add_box"),
+        (lambda: remove_box(P((2, 1)), (2, 1)), "remove_box"),
+        (lambda: x_eigenvalue(P((2, 1)), (2, 1), 3, 0), "remove_box"),
+        (lambda: y_eigenvalue(P((2, 1)), (1, 3), 3, 0), "add_box"),
+    ],
+    ids=["add_box", "remove_box", "x_eigenvalue", "y_eigenvalue"],
+)
+def test_a_box_move_refuses_a_pair_that_is_not_a_box(move, name):
+    # a plain pair equals the Box of its entries, so it would pass the corner test
+    with pytest.raises(TypeError, match=rf"^{name} asks for a Box\(row, col\), got \(\d, \d\)$"):
+        move()
 
 
 def test_branching_identity():

@@ -961,6 +961,23 @@ def test_a_partition_at_the_character_limit_is_accepted(monkeypatch, capsys, com
     assert (code, out, err, seen) == (0, '["[1]"]\n', "", [(bound, 99)])
 
 
+def test_a_casimir_partition_over_the_parts_limit_is_a_usage_error(capsys):
+    bound = cli.MAX_CASIMIR_PARTS
+    column = "[" + ",".join(["1"] * (bound + 1)) + "]"  # one corner: cheap if it were run
+    code, out, err = run_cli(capsys, "casimir", "--partition", column, "--n", str(bound + 2))
+    assert (code, out) == (2, "")
+    assert err == f"error: the number of parts of --partition must be at most {bound}, got {bound + 1}\n"
+
+
+def test_a_casimir_staircase_at_the_parts_limit_is_accepted(monkeypatch, capsys):
+    bound = cli.MAX_CASIMIR_PARTS
+    seen = []
+    monkeypatch.setattr(cli, "eigenvalue_table", lambda p, n, e: seen.append((len(p), n)) or {})
+    staircase = "[" + ",".join(map(str, range(bound, 0, -1))) + "]"
+    code, out, err = run_cli(capsys, "casimir", "--partition", staircase, "--n", str(bound + 1))
+    assert (code, out, err, seen) == (0, "{}\n", "", [(bound, bound + 1)])
+
+
 def test_work_limits_cover_every_documented_and_benchmarked_size():
     """The README, this file and the benchmark workloads stay within the limits."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -973,7 +990,7 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
     ]
     sizes = {"--max-size": [], "--degree": []}
     verify_values = {"--max-size": [], "--modulus": []}
-    character_sizes, blocks_degrees, hecke_ranks = [], [], []
+    character_sizes, casimir_parts, blocks_degrees, hecke_ranks = [], [], [], []
     for argv in requests:
         if argv[:2] == ["hecke", "normal-form"] and "--rank" in argv[:-1]:
             value = argv[argv.index("--rank") + 1]
@@ -993,10 +1010,13 @@ def test_work_limits_cover_every_documented_and_benchmarked_size():
                     values.append(int(argv[argv.index(flag) + 1]))
         if argv[:1] in (["pieri"], ["branch"]) and "--partition" in argv[:-1]:
             character_sizes.append(Partition.parse(argv[argv.index("--partition") + 1]).size)
+        if argv[:1] == ["casimir"] and "--partition" in argv[:-1]:
+            casimir_parts.append(len(Partition.parse(argv[argv.index("--partition") + 1])))
     assert 22 in sizes["--max-size"] and 23 in sizes["--degree"] and 6 in character_sizes
     assert max(sizes["--max-size"]) <= cli.MAX_CRYSTAL_SIZE
     assert max(sizes["--degree"]) <= cli.MAX_OP_DEGREE
     assert max(character_sizes) <= cli.MAX_CHARACTER_SIZE
+    assert 2 in casimir_parts and max(casimir_parts) <= cli.MAX_CASIMIR_PARTS
     verify_sizes, verify_moduli = verify_values["--max-size"], verify_values["--modulus"]
     assert 8 in verify_sizes and max(verify_sizes) <= cli.MAX_VERIFY_SIZE
     assert 5 in verify_moduli and max(verify_moduli) <= cli.MAX_VERIFY_MODULUS

@@ -199,13 +199,37 @@ def test_parse_expression():
     assert parse_expression("5", 2) == HeckeElement.scalar(5, 2)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["", "y", "q1", "y1 *", "(y1", "y1 y2", "t9*y1", "y1 + + y2"],
-)
+# every refusal of the parser, by its exact message
+PARSE_REFUSALS = {
+    "": "empty expression",
+    "   ": "empty expression",
+    "y": "generator 'y' needs an index",
+    "y+1": "generator 'y+' needs an index",
+    "q1": "unexpected character 'q' in expression",
+    "y1 *": "unexpected end of expression",
+    "(y1": "unexpected end of expression",
+    "--": "unexpected end of expression",
+    "y1 y2": "trailing token 'y2' in expression",
+    "y1)": "trailing token ')' in expression",
+    "t9*y1": "transposition index must be in 1..1, got 9",
+    "y1 + + y2": "unexpected token '+'",
+    "()": "unexpected token ')'",
+    "*y1": "unexpected token '*'",
+    "(y1 y2)": "unbalanced parentheses",
+    # a bad character anywhere comes first, then a letter without an index
+    # in text order, then an empty text, then the parse
+    "y ²": "unexpected character '²' in expression",
+    "t y1 q": "unexpected character 'q' in expression",
+    ")y": "generator 'y' needs an index",
+    "y1 t y": "generator 't ' needs an index",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_REFUSALS))
 def test_parse_expression_errors(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         parse_expression(bad, 2)
+    assert str(refused.value) == PARSE_REFUSALS[bad]
 
 
 @pytest.mark.parametrize("bad", ["y²", "2² * y1", "y1 + ３", "t١"])
