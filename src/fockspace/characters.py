@@ -192,6 +192,8 @@ def schur(p: Partition, n: int) -> SymPolynomial:
 
     Zero when p has more than n rows, where ``_kostka`` has no row.
     """
+    if not isinstance(p, Partition):
+        raise TypeError(f"schur asks for a Partition, got {p!r}")
     n = _check_int(n, "number of variables", 0)
     return SymPolynomial._trusted(
         {exps: k for mu, k in _kostka(p, n) for exps in _rearrangements(mu)}, n
@@ -319,6 +321,8 @@ def branch_r1(p: Partition, n: int) -> list[Partition]:
     So the work is done at n = |p|, which also keeps the branching-rule
     recursion |p| + 1 deep whatever n is.
     """
+    if not isinstance(p, Partition):
+        raise TypeError(f"branch_r1 asks for a Partition, got {p!r}")
     n = _check_int(n, "number of variables")
     if n < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")
@@ -345,6 +349,8 @@ def pieri_mult(p: Partition, n: int) -> list[Partition]:
     on n, so the work is done at min(n, |p| + 1) variables; that also keeps
     the branching-rule recursion at most |p| + 1 deep whatever n is.
     """
+    if not isinstance(p, Partition):
+        raise TypeError(f"pieri_mult asks for a Partition, got {p!r}")
     n = _check_int(n, "number of variables")
     if n < p.size:
         raise ValueError(f"need n >= |p| = {p.size}, got {n}")

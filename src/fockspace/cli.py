@@ -9,13 +9,16 @@ table, which also prints every help text and usage error.
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
 errors (including malformed partition text, which is reported with the
 offending token), 3 on an internal error of the program, a failed
-self-check (``ArithmeticError``) included.
+self-check (``ArithmeticError``) included, and 141 (128 + SIGPIPE, as a
+shell reports a writer killed by SIGPIPE) when the reader of the output
+closed it early, with nothing written to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -364,7 +367,13 @@ def _read_request(argv: Sequence[str]) -> argparse.Namespace | None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send the rest, and the exit flush, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

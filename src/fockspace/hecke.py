@@ -257,39 +257,6 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return HeckeElement._trusted(out, n)
 
 
-def verify_relations(n: int) -> dict[str, bool]:
-    """Check the defining relations at rank n via ``multiply``."""
-    _check_int(n, "rank", 2)
-    y = [from_generator("y", k, n) for k in range(1, n + 1)]
-    t = [from_generator("t", k, n) for k in range(1, n)]
-    one = HeckeElement.one(n)
-    report: dict[str, bool] = {}
-
-    report["involutions"] = all(t[i] * t[i] == one for i in range(n - 1))
-    report["braid"] = all(
-        t[i] * t[i + 1] * t[i] == t[i + 1] * t[i] * t[i + 1] for i in range(n - 2)
-    )
-    report["distant_transpositions_commute"] = all(
-        t[i] * t[j] == t[j] * t[i]
-        for i in range(n - 1)
-        for j in range(n - 1)
-        if abs(i - j) >= 2
-    )
-    report["polynomial_subalgebra_commutes"] = all(
-        y[i] * y[j] == y[j] * y[i] for i in range(n) for j in range(n)
-    )
-    report["cross_commutation"] = all(
-        t[i] * y[j] == y[j] * t[i]
-        for i in range(n - 1)
-        for j in range(n)
-        if j not in (i, i + 1)
-    )
-    report["cross_relation"] = all(
-        t[i] * y[i + 1] - y[i] * t[i] == one for i in range(n - 1)
-    )
-    return report
-
-
 def _tokenize(expr: str) -> list[str]:
     """The tokens as written: y, t or a digit with the digits after it, else one character."""
     if bad := [ch for ch in expr if not (ch.isspace() or ch in "0123456789yt+-*()")]:

@@ -365,6 +365,8 @@ def core_and_weight(p: Partition, e: int) -> tuple[Partition, int]:
     its own core, reached after removing no hook; otherwise the beads slide
     on the abacus (``_slide_beads``).
     """
+    if not isinstance(p, Partition):
+        raise TypeError(f"core_and_weight asks for a Partition, got {p!r}")
     check_modulus(e)
     if not e or p.size < e:
         return p, 0

@@ -46,7 +46,6 @@ from fockspace.hecke import (
     HeckeElement,
     from_generator,
     parse_expression,
-    verify_relations,
 )
 from fockspace.partitions import (
     Box,
@@ -184,10 +183,6 @@ ROWS = {
     ),
     "parse_expression": (
         "parse_expression(n)", lambda v: parse_expression("y1", v), "rank", RANK_LOW,
-    ),
-    "verify_relations": (
-        "verify_relations(n)", lambda v: verify_relations(v), "rank",
-        (1, "rank must be >= 2, got 1"),
     ),
     "run_verify": (
         "run_verify(d)", lambda v: run_verify("crystal", 2, v).json_dict(), "max size",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,22 @@ def test_pieri_examples():
 def test_pieri_row_cutoff():
     # with exactly |p| variables a pure column loses its below-the-column box
     assert pieri_mult(P((1, 1)), 2) == [P((2, 1))]
+
+
+@pytest.mark.parametrize(
+    "call, name, shape",
+    [
+        (lambda: schur((2, -1), 2), "schur", (2, -1)),
+        (lambda: schur((1, 2), 2), "schur", (1, 2)),
+        (lambda: branch_r1((2, 1), 3), "branch_r1", (2, 1)),
+        (lambda: pieri_mult((2, 1), 3), "pieri_mult", (2, 1)),
+    ],
+    ids=["schur-negative", "schur-unsorted", "branch_r1", "pieri_mult"],
+)
+def test_a_character_refuses_a_shape_that_is_not_a_partition(call, name, shape):
+    # a plain tuple is neither sorted nor checked: schur((2, -1), 2) had two terms
+    with pytest.raises(TypeError, match=rf"^{name} asks for a Partition, got {re.escape(repr(shape))}$"):
+        call()
 
 
 def test_schur_stability_under_restriction():

@@ -563,13 +563,13 @@ def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, case):
     assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
-def run_module(*args):
+def run_module(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """``python -m fockspace.cli`` in a fresh interpreter, as the console script runs it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "fockspace.cli", *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        cwd=ROOT, env=env, stdout=stdout, stderr=stderr, text=True, timeout=60,
     )
 
 
@@ -589,6 +589,22 @@ def test_console_script_usage_error_exits_2():
     done = run_module("core", "--mod", "2")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("usage: fockspace core ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("core", "--modulus", "3", "--partition", "[6,4,2,2,1]"),
+    ("crystal", "--modulus", "0", "--max-size", "8"),
+])
+def test_a_closed_output_exits_141_with_nothing_on_stderr(argv):
+    """A reader that stopped early is neither an internal error (3) nor a failed verification (1)."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_module(*argv, stdout=write)
+        assert (done.returncode, done.stderr) == (141, "")
+        assert run_module(*argv, stdout=write, stderr=write).returncode == 141
+    finally:
+        os.close(write)
 
 
 def _argparse_reads(argv):

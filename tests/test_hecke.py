@@ -22,7 +22,6 @@ from fockspace.hecke import (
     parse_expression,
     reduced_word,
     simple_transposition,
-    verify_relations,
 )
 
 
@@ -76,17 +75,6 @@ def test_permutation_helpers():
     assert reduced_word((3, 2, 1)) in ([1, 2, 1], [2, 1, 2])
     assert sorted(all_reduced_words((3, 2, 1))) == [(1, 2, 1), (2, 1, 2)]
     assert list(all_reduced_words((1, 2, 3))) == [()]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_verify_relations(n):
-    report = verify_relations(n)
-    assert report and all(report.values())
-
-
-def test_verify_relations_rank_too_small():
-    with pytest.raises(ValueError):
-        verify_relations(1)
 
 
 def test_braid_relation_explicitly():

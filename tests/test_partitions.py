@@ -349,6 +349,13 @@ def test_p_weight_examples():
     assert p_weight(Partition((5, 3, 1)), 0) == 0
 
 
+@pytest.mark.parametrize("core", [core_and_weight, p_core, p_weight], ids=lambda f: f.__name__)
+def test_a_core_refuses_a_shape_that_is_not_a_partition(core):
+    # a plain tuple has no size, which the abacus reads first
+    with pytest.raises(TypeError, match=r"^core_and_weight asks for a Partition, got \(2, 1\)$"):
+        core((2, 1), 2)
+
+
 @pytest.mark.parametrize("e", [2, 3, 5])
 def test_core_greedy_matches_beta_numbers(e):
     for lam in partitions_up_to(8):

@@ -255,6 +255,28 @@ def test_reduced_word_independence_applies_each_letter(monkeypatch):
     assert check_reduced_word_independence(4) == "w=(3, 2, 1, 4), exps=(0, 0, 1, 0)"
 
 
+def test_hecke_relations_catch_negated_divided_differences(monkeypatch):
+    """t_i y^a u = y^{s_i a} (s_i u) - d_i(y^a) u breaks t_1 y_2 - y_1 t_1 = 1 first."""
+    original = hecke_module._times_letter
+
+    def negated_differences(i, terms):
+        swapped = {}
+        for (a, u), c in terms.items():
+            line = list(u)
+            line[u.index(i)], line[u.index(i + 1)] = i + 1, i
+            key = (a[:i - 1] + (a[i], a[i - 1]) + a[i + 1:], tuple(line))
+            swapped[key] = swapped.get(key, 0) + c
+        image = original(i, terms)
+        faulty = {k: 2 * swapped.get(k, 0) - image.get(k, 0) for k in swapped.keys() | image.keys()}
+        return {k: c for k, c in faulty.items() if c}
+
+    monkeypatch.setattr(hecke_module, "_times_letter", negated_differences)
+    expected = "relation cross_relation fails at rank 2"
+    assert verify_module.check_hecke_relations(4) == expected
+    report = run_verify("hecke", 3, 6)
+    assert {r.name: r.counterexample for r in report.results}["relations"] == expected
+
+
 def _dropping_the_last_above_four_boxes(engine):
     return lambda lam, n: engine(lam, n)[:-1] if lam.size > 4 else engine(lam, n)
 
