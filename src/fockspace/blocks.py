@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .fock import Weight, weight
-from .partitions import Partition, _check_int, check_modulus, core_and_weight, p_core, partitions_of
+from .partitions import Partition, _check_int, check_modulus, core_and_weight, partitions_of
 
 
 class Block(NamedTuple):
@@ -54,14 +54,6 @@ def blocks(d: int, e: int) -> list[Block]:
             )
         )
     return out
-
-
-def same_block(p: Partition, q: Partition, e: int) -> bool:
-    """Whether two partitions of equal size share their e-core."""
-    check_modulus(e)
-    if p.size != q.size:
-        raise ValueError(f"sizes differ: |{p}| = {p.size}, |{q}| = {q.size}")
-    return p_core(p, e) == p_core(q, e)
 
 
 def derived_equivalence_classes(layer: Iterable[Block]) -> list[list[Block]]:

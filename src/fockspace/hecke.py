@@ -57,21 +57,6 @@ def _check_perm(w: Perm) -> None:
         raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
 
 
-def reduced_word(w: Perm) -> list[int]:
-    """One reduced word for w, peeled off right descents."""
-    _check_perm(w)
-    line = list(w)
-    peeled = []
-    while True:
-        for i in range(len(line) - 1):
-            if line[i] > line[i + 1]:
-                line[i], line[i + 1] = line[i + 1], line[i]
-                peeled.append(i + 1)
-                break
-        else:
-            return list(reversed(peeled))
-
-
 def all_reduced_words(w: Perm) -> Iterator[tuple[int, ...]]:
     """Every reduced word of w (exponential; meant for small ranks)."""
     _check_perm(w)

@@ -9,9 +9,12 @@ property.
 
 No check keeps a memo past its own call.  Operator matrices, powers of e_i
 and the normal forms of a rewriting search are ``functools.cache`` closures
-made inside the check, so a patched engine never meets pieces built before
-the patch.  The checks of one ``run_verify`` call may run in different
-forked processes, so none may rely on another having run.
+made inside the check.  The engine's module caches do outlive a call:
+``partitions._partition_tuples``, ``characters._dominant_branch`` and the
+one-node ``crystal._cogood_rows``.  A fault test that patches what one of
+them reads must call its ``cache_clear()`` first, or the check meets
+entries built before the patch.  The checks of one ``run_verify`` call may
+run in different forked processes, so none may rely on another having run.
 """
 
 from __future__ import annotations

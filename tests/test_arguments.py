@@ -21,7 +21,7 @@ from types import FunctionType
 import pytest
 
 import fockspace
-from fockspace.blocks import blocks, same_block
+from fockspace.blocks import blocks
 from fockspace.casimir import casimir_scalar, eigenvalue_table, x_eigenvalue, y_eigenvalue
 from fockspace.characters import (
     SymPolynomial,
@@ -220,7 +220,6 @@ MODULI = {
     "phi": ("phi(e)", lambda v: phi(P((2, 1)), 1, v)),
     "crystal_graph": ("crystal_graph(e)", lambda v: crystal_graph(v, 1)),
     "blocks": ("blocks(e)", lambda v: blocks(2, v)),
-    "same_block": ("same_block(e)", lambda v: same_block(P((2,)), P((1, 1)), v)),
     "x_eigenvalue": ("x_eigenvalue(e)", lambda v: x_eigenvalue(P((2, 1)), Box(1, 2), 3, v)),
     "y_eigenvalue": ("y_eigenvalue(e)", lambda v: y_eigenvalue(P((2, 1)), Box(1, 3), 3, v)),
     "eigenvalue_table": ("eigenvalue_table(e)", lambda v: eigenvalue_table(P(), 1, v)),

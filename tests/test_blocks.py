@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions_of_size
-from fockspace.blocks import blocks, derived_equivalence_classes, same_block
+from fockspace.blocks import blocks, derived_equivalence_classes
 from fockspace.fock import weight
 from fockspace.partitions import Partition, p_core, p_weight, partitions_of
 
@@ -38,14 +38,6 @@ def test_blocks_keep_a_bool_degree_as_its_int():
     (block,) = blocks(True, 2)
     assert type(block.degree) is int and block.degree == 1
     assert block.json_dict() == blocks(1, 2)[0].json_dict()
-
-
-def test_same_block_examples():
-    assert same_block(P((2,)), P((1, 1)), 2) is True
-    assert same_block(P((2,)), P((1, 1)), 3) is False
-    assert same_block(P((2, 1)), P((2, 1)), 5) is True
-    with pytest.raises(ValueError):
-        same_block(P((2,)), P((1,)), 2)
 
 
 def test_derived_equivalence_examples():
@@ -121,6 +113,6 @@ def equal_size_pairs(draw, max_size: int = 120):
 
 @settings(deadline=None)
 @given(equal_size_pairs(), st.sampled_from([2, 3, 5]))
-def test_same_block_iff_equal_weight_at_large_sizes(pair, e):
+def test_equal_core_iff_equal_weight_at_large_sizes(pair, e):
     p, q = pair
-    assert same_block(p, q, e) == (weight(p, e) == weight(q, e))
+    assert (p_core(p, e) == p_core(q, e)) == (weight(p, e) == weight(q, e))

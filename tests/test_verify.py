@@ -18,11 +18,14 @@ from fockspace.verify import (
     check_confluence,
     check_connectivity,
     check_core_well_defined,
+    check_filtration_degree,
     check_jacobi_trudi,
     check_pieri_coherence,
     check_reduced_word_independence,
     check_residue_partition,
     check_rim_hooks_agree,
+    check_schur_symmetry,
+    check_subalgebra_embedding,
     check_zero_modulus_blocks,
     run_verify,
 )
@@ -275,6 +278,42 @@ def test_hecke_relations_catch_negated_divided_differences(monkeypatch):
     assert verify_module.check_hecke_relations(4) == expected
     report = run_verify("hecke", 3, 6)
     assert {r.name: r.counterexample for r in report.results}["relations"] == expected
+
+
+def test_filtration_and_embedding_catch_a_letter_that_leaves_y_i_behind(monkeypatch):
+    """t_i y^0 u gains an extra y_i u: the y-degree grows, and a product of two permutations gains y terms."""
+    original = hecke_module._times_letter
+
+    def leaving_y_i(i, terms):
+        image = original(i, terms)
+        for (a, u), c in terms.items():
+            if not any(a):
+                key = (a[:i - 1] + (1,) + a[i:], u)
+                image[key] = image.get(key, 0) + c
+        return {k: c for k, c in image.items() if c}
+
+    monkeypatch.setattr(hecke_module, "_times_letter", leaving_y_i)
+    filtration = "n=2, a=HeckeElement(n=2, 1*y^[2, 0]*[2, 1]), b=HeckeElement(n=2, 1*y^[0, 0]*[1, 2])"
+    embedding = "permutation: n=2, perms=[2, 1],[1, 2]"
+    assert check_filtration_degree(DEFAULT_SEED) == filtration
+    assert check_subalgebra_embedding(DEFAULT_SEED) == embedding
+    found = {r.name: r.counterexample for r in run_verify("hecke", 3, 6).results}
+    assert (found["filtration_degree"], found["subalgebra_embedding"]) == (filtration, embedding)
+
+
+def test_symmetry_catches_a_lost_rearrangement(monkeypatch):
+    """Each Schur term with more than one rearrangement loses its last one."""
+    original = characters._rearrangements
+
+    def dropping_the_last(mu):
+        vectors = list(original(mu))
+        return vectors[:-1] if len(vectors) > 1 else vectors
+
+    monkeypatch.setattr(characters, "_rearrangements", dropping_the_last)
+    expected = "lambda=[1], n=2: not symmetric at (0, 1) <-> (1, 0)"
+    assert check_schur_symmetry(6, 4) == expected
+    report = run_verify("characters", 3, 6)
+    assert {r.name: r.counterexample for r in report.results}["symmetry"] == expected
 
 
 def _dropping_the_last_above_four_boxes(engine):
