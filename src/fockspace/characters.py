@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import combinations_with_replacement, product, repeat
 from operator import add
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .combination import IntCombination
 from .partitions import Partition, _check_int
@@ -227,21 +227,29 @@ def schur_jacobi_trudi(p: Partition, n: int) -> SymPolynomial:
     if ell > n:
         # the determinant also vanishes, but short-circuit for speed
         return SymPolynomial.zero(n)
-    h = cache(complete_homogeneous)
+    return _minor(p, n, cache(complete_homogeneous), {}, tuple(range(ell)))
 
-    @cache
-    def minor(cols: tuple[int, ...]) -> SymPolynomial:
-        """The determinant of the last len(cols) rows against the columns cols."""
-        row = ell - len(cols)
+
+def _minor(
+    p: Partition, n: int, h: Callable[[int, int], SymPolynomial],
+    minors: dict[tuple[int, ...], SymPolynomial], cols: tuple[int, ...],
+) -> SymPolynomial:
+    """The Jacobi-Trudi determinant of the last len(cols) rows against the columns cols.
+
+    Each minor is computed once per ``minors``.  A module function, not a
+    recursive closure: a closure that calls itself holds its memo in a
+    reference cycle, which only the cyclic collector frees.
+    """
+    if cols not in minors:
+        row = len(p) - len(cols)
         total = SymPolynomial.zero(n) if cols else SymPolynomial.one(n)
         for t, j in enumerate(cols):
             k = p[row] - row + j
             if k >= 0:
-                term = h(k, n) * minor(cols[:t] + cols[t + 1:])
+                term = h(k, n) * _minor(p, n, h, minors, cols[:t] + cols[t + 1:])
                 total = total - term if t % 2 else total + term
-        return total
-
-    return minor(tuple(range(ell)))
+        minors[cols] = total
+    return minors[cols]
 
 
 def restrict_last_var(f: SymPolynomial) -> SymPolynomial:

@@ -17,6 +17,8 @@ closed it early, with nothing written to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
+import io
 import json
 import os
 import sys
@@ -365,21 +367,44 @@ def _read_request(argv: Sequence[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
+def _to_devnull(stream: Any) -> None:
+    """Send the rest of ``stream``, and its flush at exit, to devnull: its reader stopped early."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
+def _write_stderr(text: str) -> None:
+    """Write ``text`` to stderr; a closed stderr leaves the request's exit code alone."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
+    # No request leaves a reference cycle, so reference counting frees all it
+    # allocates, and a cyclic collector pass inside it would only walk its
+    # tuples.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader stopped early: send the rest, and the exit flush, to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         return 141
     except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write_stderr(f"error: {exc}\n")
         return 2
     except Exception as exc:  # a fault of the program, not of the request
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        _write_stderr(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _profiled(args: argparse.Namespace) -> int:
@@ -390,8 +415,9 @@ def _profiled(args: argparse.Namespace) -> int:
 
     profiler = cProfile.Profile()
     code = profiler.runcall(_dispatch, args)
-    stats = pstats.Stats(profiler, stream=sys.stderr)
-    stats.sort_stats("cumulative").print_stats(PROFILE_ROWS)
+    rows = io.StringIO()
+    pstats.Stats(profiler, stream=rows).sort_stats("cumulative").print_stats(PROFILE_ROWS)
+    _write_stderr(rows.getvalue())
     return code
 
 

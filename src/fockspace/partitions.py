@@ -72,7 +72,8 @@ class Partition(tuple):
         return sum(self)
 
     def __str__(self) -> str:
-        return "[" + ",".join(map(str, self)) + "]"
+        # the list's C-level repr; the parts are ints, so its only spaces follow commas
+        return repr(list(self)).replace(" ", "")
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"

@@ -7,9 +7,13 @@ parameters once; the acceptance tests drive the same check functions at
 their own parameter ranges, so there is exactly one implementation of each
 property.
 
-No check keeps a memo past its own call.  Operator matrices, powers of e_i
-and the normal forms of a rewriting search are ``functools.cache`` closures
-made inside the check.  The engine's module caches do outlive a call:
+No check keeps a memo past its own call.  Operator matrices are a
+``functools.cache`` closure made inside the check; powers of e_i and the
+normal forms of a rewriting search are memoised in a dict made inside the
+check and handed to a module function.  None is a closure that calls
+itself: such a closure holds its memo in a reference cycle, which only the
+cyclic collector frees, and the CLI turns the collector off for the length
+of a request.  The engine's module caches do outlive a call:
 ``partitions._partition_tuples``, ``characters._dominant_branch`` and the
 one-node ``crystal._cogood_rows``.  A fault test that patches what one of
 them reads must call its ``cache_clear()`` first, or the check meets
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import random
 import time
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import permutations, product
 from operator import le
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
@@ -292,6 +296,20 @@ def check_cartan_action(e: int, max_size: int) -> Optional[str]:
     return _first_counterexample(e, max_size, relation)
 
 
+def _power(
+    op: Callable[[str, int, int], Optional[Columns]],
+    powers: dict[tuple[int, int, int], Optional[Columns]],
+    i: int, k: int, d: int,
+) -> Optional[Columns]:
+    """E_i^k out of degree d, each power computed once per ``powers``."""
+    if (i, k, d) not in powers:
+        if k == 0:
+            powers[i, k, d] = {c: {c: 1} for c in range(len(partitions_of(d)))} or None
+        else:
+            powers[i, k, d] = _product(op("e", i, d - k + 1), _power(op, powers, i, k - 1, d))
+    return powers[i, k, d]
+
+
 def check_serre(e: int, max_size: int) -> Optional[str]:
     """ad(e_i)^{1 - a_ij}(e_j) annihilates every small basis vector.
 
@@ -301,13 +319,7 @@ def check_serre(e: int, max_size: int) -> Optional[str]:
     window = residue_window(e, max_size)
     pairs = [(i, j, 1 - cartan_entry(i, j, e)) for i in window for j in window if i != j]
     op = _op_columns(e)
-
-    @cache
-    def power(i: int, k: int, d: int) -> Optional[Columns]:
-        """E_i^k out of degree d."""
-        if k == 0:
-            return {c: {c: 1} for c in range(len(partitions_of(d)))} or None
-        return _product(op("e", i, d - k + 1), power(i, k - 1, d))
+    power = partial(_power, op, {})
 
     def relation(d: int) -> Relation:
         for i, j, m in pairs:
@@ -402,12 +414,17 @@ def _normal_forms(moves: Callable[[Hashable], Iterable[Hashable]]) -> Callable[[
     Each state is searched once for as long as the returned search lives,
     so two searches never share results.
     """
+    return partial(_search_forms, moves, {})
 
-    @cache
-    def forms(state: Hashable) -> frozenset:
-        return frozenset().union(*map(forms, moves(state))) or frozenset([state])
 
-    return forms
+def _search_forms(
+    moves: Callable[[Hashable], Iterable[Hashable]], found: dict[Hashable, frozenset], state: Hashable
+) -> frozenset:
+    if state not in found:
+        found[state] = frozenset().union(
+            *(_search_forms(moves, found, after) for after in moves(state))
+        ) or frozenset([state])
+    return found[state]
 
 
 def check_confluence(max_len: int) -> Optional[str]:

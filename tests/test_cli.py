@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import deadline
-from fockspace import cli
+from fockspace import cli, forked
 from fockspace.cli import main
 from fockspace.characters import branch_r1, pieri_mult
 from fockspace.crystal import e_tilde, f_tilde
@@ -605,6 +606,116 @@ def test_a_closed_output_exits_141_with_nothing_on_stderr(argv):
         assert run_module(*argv, stdout=write, stderr=write).returncode == 141
     finally:
         os.close(write)
+
+
+OVER_THE_CRYSTAL_LIMIT = ("crystal", "--modulus", "3", "--max-size", str(cli.MAX_CRYSTAL_SIZE + 1))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("core", "--modulus", "1", "--partition", "[3,1]"), 2),
+    (OVER_THE_CRYSTAL_LIMIT, 2),
+    (("--profile", "core", "--modulus", "3", "--partition", "[3,1]"), 0),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_a_closed_stderr_leaves_the_exit_code_alone(argv, code):
+    """An error line or profile that nobody reads is not a failed verification (1)."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = run_module(*argv, stderr=write)
+    finally:
+        os.close(write)
+    heard = run_module(*argv)
+    assert (closed.returncode, closed.stdout) == (heard.returncode, heard.stdout)
+    assert heard.returncode == code
+
+
+def _broken_core(p, e):
+    raise RuntimeError("synthetic fault")
+
+
+CORE_REQUEST = ["core", "--modulus", "3", "--partition", "[6,4,2,2,1]"]
+EXIT_PATHS = {
+    "0": (0, CORE_REQUEST),
+    "2 from the reader table": (2, list(OVER_THE_CRYSTAL_LIMIT)),
+    "2 from argparse": (2, ["core", "--mod", "3"]),
+    "3 from the runner": (3, CORE_REQUEST),
+    "141 from a closed stdout": (141, CORE_REQUEST),
+    "--profile": (0, ["--profile", *CORE_REQUEST]),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_a_request_leaves_the_collector_as_it_found_it(monkeypatch, capsys, path, collecting):
+    code, argv = EXIT_PATHS[path]
+    if code == 3:
+        monkeypatch.setattr(cli, "core_and_weight", _broken_core)
+    with contextlib.ExitStack() as stack:
+        stack.callback(gc.enable if gc.isenabled() else gc.disable)
+        if code == 141:
+            read, write = os.pipe()
+            os.close(read)
+            stack.enter_context(contextlib.redirect_stdout(stack.enter_context(open(write, "w"))))
+        (gc.enable if collecting else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+def test_the_collector_is_off_while_a_request_runs(monkeypatch, capsys, collecting):
+    seen = []
+
+    def recording(p, e):
+        seen.append(gc.isenabled())
+        return core_and_weight(p, e)
+
+    monkeypatch.setattr(cli, "core_and_weight", recording)
+    with contextlib.ExitStack() as stack:
+        stack.callback(gc.enable if gc.isenabled() else gc.disable)
+        (gc.enable if collecting else gc.disable)()
+        assert run_cli(capsys, *CORE_REQUEST)[:2] == (0, '{"core": "[6,4,2]", "p_weight": 1}\n')
+    assert seen == [False]
+
+
+TOO_MANY_TERMS = "*".join(f"(t{m % 7 + 1}+y{m % 8 + 1})" for m in range(20))
+
+
+@pytest.mark.parametrize("argv, code", [
+    *(
+        (("crystal", "--modulus", e, "--max-size", "7", "--format", fmt), 0)
+        for e in "023" for fmt in ("json", "dot")
+    ),
+    *(
+        (("fock", "op-matrix", "--op", op, "--residue", "1", "--modulus", "3", "--degree", "7"), 0)
+        for op in "efh"
+    ),
+    (("blocks", "--modulus", "3", "--degree", "9"), 0),
+    (CORE_REQUEST, 0),
+    (("casimir", "--partition", "[3,2,1]", "--n", "5", "--modulus", "3"), 0),
+    (("pieri", "--partition", "[3,2,1]", "--n", "7"), 0),
+    (("branch", "--partition", "[3,2,1]", "--n", "7"), 0),
+    (("hecke", "normal-form", "--rank", "4", "--expr", "(t1+y2)*(t3+y1)*(t2+y4)"), 0),
+    (("hecke", "normal-form", "--rank", "8", "--expr", TOO_MANY_TERMS), 2),
+    (("verify", "--suite", "all", "--modulus", "0", "--max-size", "6"), 0),
+    (("verify", "--suite", "all", "--modulus", "3", "--max-size", "6"), 0),
+    (("verify", "--suite", "crystal", "--modulus", "3", "--max-size", "8"), 0),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_a_request_leaves_no_cyclic_garbage(monkeypatch, capsys, argv, code):
+    """Why a request may run with the cyclic collector off: reference counting frees it all.
+
+    verify runs every check in this process here.  Its serre, confluence,
+    core and Jacobi-Trudi checks memoise through module functions: a
+    closure that calls itself holds its memo in a cycle (2,059 objects at
+    --suite crystal --modulus 3 --max-size 8, and 2.5 MB of operator powers
+    in serre at --max-size 12).  Only the argparse parser of a request the
+    reader table leaves to it (help, --profile, abbreviated flags, mistakes)
+    leaves cycles, about 330 objects, and it is built before the collector
+    is turned off.
+    """
+    monkeypatch.setattr(forked, "_available_cpus", lambda: 1)
+    gc.collect()
+    assert main(list(argv)) == code
+    assert gc.collect() == 0
 
 
 def _argparse_reads(argv):
